@@ -12,9 +12,16 @@
 //! engine per serve, compile included) and the hot serving posture
 //! (plan-cache hit, eval only).
 //!
+//! A second, separate measurement times the same pool hot at one thread
+//! on one 20k-node `Shape::Deep(2)` document, where a closure needs one
+//! round per tree level: the case the VM's sparse closure rounds exist
+//! for.
+//!
 //! [`run_full`] also returns the structured summary that the harness
 //! exports as the top-level `e12` field of `BENCH_HARNESS.json`; CI
-//! asserts the hot geometric-mean speedup stays ≥ 2×.
+//! asserts the hot geometric-mean speedup stays ≥ 2× on the pool, and
+//! that the VM is at least as fast as product (`e12.deep` geomean ≥ 1×)
+//! on the deep document.
 
 use crate::experiments::time_us;
 use crate::table::{fmt_micros, Table};
@@ -40,7 +47,12 @@ struct Sizes {
     n_docs: usize,
     doc_size: usize,
     serves: usize,
+    deep_serves: usize,
 }
+
+/// Node count of the deep document (the same in quick and full runs:
+/// depth is what the measurement is about).
+const DEEP_SIZE: usize = 20_000;
 
 fn sizes(cfg: &RunCfg) -> Sizes {
     if cfg.quick {
@@ -48,12 +60,14 @@ fn sizes(cfg: &RunCfg) -> Sizes {
             n_docs: 6,
             doc_size: 300,
             serves: 16,
+            deep_serves: 4,
         }
     } else {
         Sizes {
             n_docs: 16,
             doc_size: 900,
             serves: 64,
+            deep_serves: 16,
         }
     }
 }
@@ -160,6 +174,8 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
         })
         .collect();
 
+    let deep = run_deep(cfg, &catalog, sz.deep_serves);
+
     let geo_cold = geomean(results.iter().map(QueryResult::speedup_cold));
     let geo_hot = geomean(results.iter().map(QueryResult::speedup_hot));
 
@@ -198,6 +214,28 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
         "".into(),
         format!("{geo_hot:.1}x"),
     ]);
+    for (name, product_us, vm_us) in &deep.rows {
+        table.row(vec![
+            format!("deep:{name}"),
+            deep.serves.to_string(),
+            "".into(),
+            "".into(),
+            "".into(),
+            fmt_micros(*product_us),
+            fmt_micros(*vm_us),
+            format!("{:.1}x", product_us / vm_us.max(0.01)),
+        ]);
+    }
+    table.row(vec![
+        "deep geomean".into(),
+        "".into(),
+        "".into(),
+        "".into(),
+        "".into(),
+        "".into(),
+        "".into(),
+        format!("{:.1}x", deep.geomean_speedup_hot),
+    ]);
     let vm_stats = vm.cache_stats();
     table.note(format!(
         "{} docs x {} nodes (DocumentLike); cold = fresh engine per serve (compile included); \
@@ -208,6 +246,10 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
         "vm plan cache after run: {} hits / {} misses / {} entries — one compile per pool query, \
          every re-prepare a hit",
         vm_stats.hits, vm_stats.misses, vm_stats.entries
+    ));
+    table.note(format!(
+        "deep rows: one Shape::Deep(2) doc of {DEEP_SIZE} nodes (height {}), hot, one thread",
+        deep.height
     ));
     table.note("answers cross-checked product vs vm on every (query, doc) pair before timing");
 
@@ -225,6 +267,19 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
                 .field("speedup_hot", r.speedup_hot())
         })
         .collect();
+    let deep_queries: Vec<Json> = deep
+        .rows
+        .iter()
+        .zip(QUERIES)
+        .map(|((name, product_us, vm_us), (_, q))| {
+            Json::obj()
+                .field("name", *name)
+                .field("query", q)
+                .field("product_hot_us", *product_us)
+                .field("vm_hot_us", *vm_us)
+                .field("speedup_hot", product_us / vm_us.max(0.01))
+        })
+        .collect();
     let summary = Json::obj()
         .field("pool", QUERIES.len())
         .field("docs", sz.n_docs)
@@ -234,6 +289,16 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
         .field("geomean_speedup_cold", geo_cold)
         .field("geomean_speedup_hot", geo_hot)
         .field(
+            "deep",
+            Json::obj()
+                .field("doc_size", DEEP_SIZE)
+                .field("height", deep.height)
+                .field("serves", deep.serves)
+                .field("threads", 1usize)
+                .field("queries", Json::Arr(deep_queries))
+                .field("geomean_speedup_hot", deep.geomean_speedup_hot),
+        )
+        .field(
             "vm_plan_cache",
             Json::obj()
                 .field("hits", vm_stats.hits)
@@ -241,6 +306,55 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
                 .field("entries", vm_stats.entries),
         );
     (table, summary)
+}
+
+/// The deep-document measurement: per pool query, hot product and VM
+/// time over `serves` evals.
+struct Deep {
+    height: u32,
+    serves: usize,
+    rows: Vec<(&'static str, f64, f64)>,
+    geomean_speedup_hot: f64,
+}
+
+/// Times the pool hot at one thread on one [`DEEP_SIZE`]-node
+/// `Shape::Deep(2)` document, after checking the two back ends agree.
+fn run_deep(cfg: &RunCfg, catalog: &Catalog, serves: usize) -> Deep {
+    let mut rng = SplitMix64::seed_from_u64(cfg.seed_for(12) ^ 0xDEE9);
+    let doc = random_document_in(Shape::Deep(2), DEEP_SIZE, catalog, &mut rng);
+    let docs = std::slice::from_ref(&doc);
+    let height = doc
+        .tree
+        .nodes()
+        .map(|v| doc.tree.depth(v))
+        .max()
+        .unwrap_or(0);
+    let product = Engine::with_backend(Backend::Product).with_parallelism(1);
+    let vm = Engine::with_backend(Backend::Vm).with_parallelism(1);
+    let rows: Vec<(&'static str, f64, f64)> = QUERIES
+        .iter()
+        .map(|&(name, q)| {
+            let pp = product.prepare_in(catalog, q).expect("pool query compiles");
+            let pv = vm.prepare_in(catalog, q).expect("pool query compiles");
+            assert_eq!(
+                pp.eval(&doc, doc.tree.root()),
+                pv.eval(&doc, doc.tree.root()),
+                "{q}: product and vm disagree on the deep doc"
+            );
+            (
+                name,
+                serve_hot(&product, catalog, docs, q, serves),
+                serve_hot(&vm, catalog, docs, q, serves),
+            )
+        })
+        .collect();
+    let geomean_speedup_hot = geomean(rows.iter().map(|(_, p, v)| p / v.max(0.01)));
+    Deep {
+        height,
+        serves,
+        rows,
+        geomean_speedup_hot,
+    }
 }
 
 /// Table-only entry point (`run_all` and the experiment registry).
@@ -262,10 +376,18 @@ mod tests {
     #[test]
     fn quick_run_produces_table_and_summary() {
         let (t, summary) = run_full(&RunCfg::quick());
-        assert_eq!(t.rows.len(), QUERIES.len() + 1, "pool rows + geomean row");
+        assert_eq!(
+            t.rows.len(),
+            2 * (QUERIES.len() + 1),
+            "pool rows + geomean row, then the same for the deep doc"
+        );
         match field(&summary, "geomean_speedup_hot") {
             Json::Num(s) => assert!(*s > 0.0, "geomean must be positive, got {s}"),
             other => panic!("geomean_speedup_hot is {other:?}"),
+        }
+        match field(field(&summary, "deep"), "geomean_speedup_hot") {
+            Json::Num(s) => assert!(*s > 0.0, "deep geomean must be positive, got {s}"),
+            other => panic!("deep geomean_speedup_hot is {other:?}"),
         }
         match field(field(&summary, "vm_plan_cache"), "misses") {
             Json::Int(m) => assert_eq!(*m as usize, QUERIES.len(), "one compile per pool query"),

@@ -1,9 +1,9 @@
 //! E14 — strong scaling of frontier-parallel evaluation: the VM backend
 //! at 1/2/4/8 eval threads on one large document.
 //!
-//! The frontier kernels in `twx-frontier` split every axis image and
-//! star fixpoint over the preorder id space (push by source-node count,
-//! pull by candidate-id count), so on a document large enough to produce
+//! The frontier kernels in `twx-frontier` split every dense axis image
+//! (including those of dense closure rounds) over the preorder id space
+//! (push by source-node count, pull by candidate-id count), so on a document large enough to produce
 //! many chunks the same plan should evaluate faster as threads are
 //! added — without changing a single answer bit. This experiment
 //! measures that curve: per star-heavy pool query, hot-serve latency at

@@ -11,8 +11,8 @@
 //!   product evaluator, `Engine::query` on the product/automaton/logic
 //!   backends both plan-cache-cold and -hot, the bytecode VM in its
 //!   production (hot, arena-recycled) configuration, the
-//!   frontier-parallel VM (`parallelism = 2`, every evaluation through
-//!   the `twx-frontier` push/pull kernels), and a sharded
+//!   frontier-parallel VM (`parallelism = 2`, dense images through the
+//!   `twx-frontier` push/pull kernels), and a sharded
 //!   [`QueryService`] — and reports any disagreement as a typed
 //!   [`Divergence`] naming the odd routes and their answers.
 //! * [`shrink::minimize`] greedily minimises a failing pair over both the
@@ -89,14 +89,14 @@ pub enum RouteId {
     Service,
     /// The bytecode VM in its production configuration: a persistent
     /// `Backend::Vm` engine, plan-cache-hot, registers recycled through
-    /// the thread-local arena across checks. The route that must agree
-    /// node-for-node before the VM can become a default backend.
+    /// the thread-local arena across checks. `Backend::Vm` is the
+    /// engine default, so this is the route serving runs.
     Vm,
     /// The frontier-parallel evaluator: a persistent `Backend::Vm`
-    /// engine, plan-cache-hot, with `parallelism = 2` so every
-    /// evaluation takes the `twx-frontier` push/pull kernel paths. The
-    /// route that must agree node-for-node before parallel evaluation
-    /// can be switched on in production.
+    /// engine, plan-cache-hot, with `parallelism = 2` so its dense axis
+    /// images and filter joins take the `twx-frontier` push/pull kernel
+    /// paths. The route that must agree node-for-node before parallel
+    /// evaluation can be switched on in production.
     Parallel,
 }
 

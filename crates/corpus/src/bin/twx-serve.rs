@@ -56,6 +56,7 @@
 //!           [FILE.xml|FILE.sexp ...]
 //! ```
 //!
+//! `--backend` defaults to the engine's default back end (`vm`).
 //! `--eval-threads 0` (the default) auto-sizes intra-query parallelism
 //! to `host cores / workers` so concurrent shard evaluations share the
 //! machine instead of oversubscribing it.
@@ -124,7 +125,7 @@ fn parse_args() -> Args {
         shards: 4,
         workers: 0, // 0 = auto below
         queue: 256,
-        backend: Backend::Product,
+        backend: Backend::default(),
         eval_threads: 0, // 0 = auto: host cores / workers
         timeout: None,
         slowlog: 16,

@@ -206,8 +206,8 @@ counters! {
     /// Axis images evaluated in the **pull** direction (scan candidate
     /// ids, probe predecessors against the frontier).
     FrontierPullSteps => "frontier_pull_steps",
-    /// Sparse↔dense representation switches between consecutive
-    /// frontiers of a star fixpoint (hysteresis band crossings).
+    /// Sparse↔dense switches between consecutive rounds of a VM `Star`
+    /// closure (hysteresis band crossings).
     FrontierSwitches => "frontier_switches",
 }
 

@@ -352,21 +352,7 @@ mod tests {
         }
         for body in &p.blocks[1..] {
             for i in body {
-                let written = match *i {
-                    Instr::AxisImage { dst, .. }
-                    | Instr::Copy { dst, .. }
-                    | Instr::Union { dst, .. }
-                    | Instr::Intersect { dst, .. }
-                    | Instr::Difference { dst, .. }
-                    | Instr::Complement { dst }
-                    | Instr::FilterJoin { dst, .. }
-                    | Instr::LoadEmpty { dst }
-                    | Instr::LoadFull { dst }
-                    | Instr::LoadLabel { dst, .. }
-                    | Instr::LoadCtx { dst }
-                    | Instr::Within { dst, .. }
-                    | Instr::Star { dst, .. } => dst,
-                };
+                let written = i.dst();
                 assert!(
                     !hoisted.contains(&written),
                     "body instruction {i:?} clobbers hoisted register {written}"

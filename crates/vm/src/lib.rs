@@ -1,6 +1,6 @@
 //! # twx-vm — bytecode VM over dense bitset registers
 //!
-//! The third production backend: Regular XPath(W) plans compiled to a flat
+//! The engine's default backend: Regular XPath(W) plans compiled to a flat
 //! **register machine** whose values are [`twx_xtree::NodeSet`]s — one dense word-level
 //! bitset per register. Path expressions are relation-algebraic
 //! compositions, so their *image semantics* maps directly onto straight-line
@@ -30,9 +30,12 @@
 //!   a thread-local `Arena` and returns it afterwards, so a plan-cache-hot
 //!   `eval_cached` loop performs no allocation at all (registers are
 //!   [`twx_xtree::NodeSet::reset`], keeping their word buffers);
-//! * **closure to fixpoint by change-tracking** — `Star` iterates
-//!   `frontier → step` and stops when the difference with the accumulator
-//!   is empty, a test that rides on the same word pass as the union.
+//! * **hybrid closure rounds** — `Star` iterates `frontier → step` and
+//!   stops when a round finds nothing new. A small frontier runs the
+//!   loop body on node-id vectors (O(frontier) per round, so a closure
+//!   over a deep tree is not O(height·n/64)); a large one runs it on the
+//!   dense registers, where folding `step` into the accumulator and
+//!   counting what was new is one word pass. See [`interp`].
 //!
 //! Programs carry a stable FNV-1a [`Program::fingerprint`] over their
 //! instruction encoding, so they drop into the engine's `PlanCache` and
@@ -80,7 +83,9 @@ pub enum Instr {
     FilterJoin { dst: Reg, test: Reg },
     /// Kleene-star closure to fixpoint: `dst ← src`, then repeatedly run
     /// block `body` (which computes `step ← img(A, frontier)`) and fold
-    /// `step \ dst` into `dst` until nothing new appears.
+    /// `step \ dst` into `dst` until nothing new appears. Afterwards only
+    /// `dst` is defined: `frontier`, `step` and the body's scratch
+    /// registers are dead.
     Star {
         dst: Reg,
         src: Reg,
@@ -106,6 +111,9 @@ pub struct Program {
     pub n_regs: u16,
     pub out: Reg,
     fingerprint: u64,
+    /// Per block: whether it is a `Star` body that can run sparse rounds
+    /// (derived from `blocks`, so not part of the fingerprint).
+    sparse_bodies: Vec<bool>,
 }
 
 impl Program {
@@ -115,12 +123,26 @@ impl Program {
         n_regs: u16,
         out: Reg,
     ) -> Program {
+        let mut sparse_bodies = vec![false; blocks.len()];
+        for instr in blocks.iter().flatten() {
+            if let Instr::Star {
+                frontier,
+                step,
+                body,
+                ..
+            } = *instr
+            {
+                sparse_bodies[body as usize] =
+                    interp::sparse_body(&blocks[body as usize], frontier, step);
+            }
+        }
         let mut p = Program {
             blocks,
             subs,
             n_regs,
             out,
             fingerprint: 0,
+            sparse_bodies,
         };
         let mut h = Fnv::new();
         p.hash_into(&mut h);
@@ -134,6 +156,11 @@ impl Program {
     /// sound plan-cache/result-cache key component.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Whether block `body` is a `Star` body that can run sparse rounds.
+    pub(crate) fn sparse_body(&self, body: usize) -> bool {
+        self.sparse_bodies[body]
     }
 
     /// Total instruction count across all blocks and nested programs.
@@ -171,6 +198,25 @@ impl Program {
 }
 
 impl Instr {
+    /// The register this instruction writes.
+    pub(crate) fn dst(&self) -> Reg {
+        match *self {
+            Instr::LoadEmpty { dst }
+            | Instr::LoadFull { dst }
+            | Instr::LoadLabel { dst, .. }
+            | Instr::LoadCtx { dst }
+            | Instr::Copy { dst, .. }
+            | Instr::Union { dst, .. }
+            | Instr::Intersect { dst, .. }
+            | Instr::Difference { dst, .. }
+            | Instr::Complement { dst }
+            | Instr::AxisImage { dst, .. }
+            | Instr::FilterJoin { dst, .. }
+            | Instr::Star { dst, .. }
+            | Instr::Within { dst, .. } => dst,
+        }
+    }
+
     fn hash_into(&self, h: &mut Fnv) {
         match *self {
             Instr::LoadEmpty { dst } => h.op(0, &[dst as u64]),

@@ -193,6 +193,21 @@ impl NodeSet {
         grew != 0
     }
 
+    /// The closure-fold primitive: removes from `step` every node already
+    /// in `self`, adds the rest to `self`, and returns how many were new.
+    /// `step \= self; self ∪= step; |step|` in one word pass. Panics if
+    /// universes differ.
+    pub fn absorb(&mut self, step: &mut NodeSet) -> usize {
+        assert_eq!(self.universe, step.universe);
+        let mut fresh = 0;
+        for (a, s) in self.bits.iter_mut().zip(&mut step.bits) {
+            *s &= !*a;
+            *a |= *s;
+            fresh += s.count_ones() as usize;
+        }
+        fresh
+    }
+
     /// In-place intersection. Panics if universes differ.
     pub fn intersect_with(&mut self, other: &NodeSet) {
         assert_eq!(self.universe, other.universe);
@@ -621,6 +636,15 @@ mod tests {
         assert!(i.is_subset(&a));
         assert!(a.intersects(&b));
         assert!(!i.intersects(&d));
+        let mut acc = a.clone();
+        let mut step = NodeSet::from_iter(n, [nid(2), nid(3), nid(66)]);
+        assert_eq!(acc.absorb(&mut step), 2);
+        assert_eq!(
+            step.to_vec(),
+            vec![nid(3), nid(66)],
+            "step keeps only the new nodes"
+        );
+        assert_eq!(acc.count(), 5);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! `{"schema":"twx-overhead/1","obs_enabled":…,"rounds":…,"evals_per_round":…,"matches_per_round":…,"min_round_ns":…}`
 
 use std::sync::Arc;
-use treewalk::{Backend, Engine};
+use treewalk::Engine;
 use twx_xtree::generate::{random_document_in, Shape};
 use twx_xtree::rng::SplitMix64;
 use twx_xtree::{Catalog, Document};
@@ -44,7 +44,8 @@ fn main() {
     let docs: Vec<Document> = (0..N_DOCS)
         .map(|_| random_document_in(Shape::DocumentLike, DOC_SIZE, &catalog, &mut rng))
         .collect();
-    let engine = Engine::with_backend(Backend::Product);
+    // the default back end: the one every serving path runs
+    let engine = Engine::new();
     // compile once, outside the timed region — the hot path under test
     // is plan-cached evaluation, exactly what a warmed service runs
     let pool: Vec<_> = QUERIES

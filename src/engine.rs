@@ -2,9 +2,9 @@
 //!
 //! [`Engine`] compiles Regular XPath(W) queries through a staged pipeline
 //! — parse → simplify → plan-cache lookup → backend compile — and
-//! evaluates them through a selectable [`Backend`]: the NFA-product
-//! evaluator, the nested tree walking automaton, or the FO(MTC) model
-//! checker. Because the paper's translations are exact, all back ends
+//! evaluates them through a selectable [`Backend`]: the bytecode VM (the
+//! default), the NFA-product evaluator, the nested tree walking
+//! automaton, or the FO(MTC) model checker. Because the paper's translations are exact, all back ends
 //! return identical answers; the engine exists so downstream code can pick
 //! the cost profile it wants (and so the equivalence is a one-liner to
 //! demonstrate).
@@ -35,16 +35,17 @@ use twx_xtree::{Catalog, Document, NodeId, NodeSet};
 /// Which evaluation pipeline to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// The NFA × tree product evaluator (`twx-regxpath`) — the fast path.
-    #[default]
+    /// The NFA × tree product evaluator (`twx-regxpath`).
     Product,
     /// Compile to a nested tree walking automaton and run it (`twx-twa`).
     Automaton,
     /// Translate to FO(MTC) and model-check (`twx-fotc`) — the slow,
     /// declarative reference.
     Logic,
-    /// Compile to register bytecode over dense bitsets and interpret it
-    /// with arena-recycled registers (`twx-vm`) — the serving hot path.
+    /// Compile to register bytecode over node-set registers and interpret
+    /// it with arena-recycled registers and hybrid sparse/dense closure
+    /// rounds (`twx-vm`) — the default and the serving hot path.
+    #[default]
     Vm,
 }
 
@@ -778,7 +779,7 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with the default (product) back end.
+    /// An engine with the default back end ([`Backend::Vm`]).
     pub fn new() -> Engine {
         Engine::with_backend(Backend::default())
     }
@@ -802,9 +803,9 @@ impl Engine {
     }
 
     /// Sets the per-evaluation worker-thread bound (0 is clamped to 1).
-    /// At 1 every evaluation is byte-for-byte the sequential code path;
-    /// above 1 the VM backend splits axis images, star fixpoints and
-    /// filter joins across scoped workers. Answers are identical at any
+    /// Above 1 the VM backend splits its dense axis images (including
+    /// those of dense closure rounds) and filter joins across scoped
+    /// workers; sparse closure rounds stay on the calling thread. Answers are identical at any
     /// setting — the conformance route 11 and `tests/parallel.rs` hold
     /// that line.
     pub fn with_parallelism(mut self, threads: usize) -> Engine {

@@ -9,7 +9,9 @@
 //! Documents are generated at ~24k nodes so the push/pull kernels really
 //! split the work into multiple chunks (the grains are 128 source nodes /
 //! 1024 candidate ids — tiny trees collapse to one chunk and would test
-//! nothing).
+//! nothing). The `Deep(2)` document makes closures run thousands of
+//! sparse rounds and cross the sparse↔dense switch, so the hybrid `Star`
+//! loop is held to the same bit-identical answers and `total_steps`.
 
 use treewalk::{Backend, Engine};
 use twx_xtree::generate::{random_document_in, Shape};
@@ -35,6 +37,7 @@ fn docs() -> (Catalog, Vec<Document>) {
     let docs = vec![
         random_document_in(Shape::DocumentLike, 24_000, &catalog, &mut rng),
         random_document_in(Shape::Wide, 24_000, &catalog, &mut rng),
+        random_document_in(Shape::Deep(2), 24_000, &catalog, &mut rng),
     ];
     (catalog, docs)
 }
@@ -79,33 +82,34 @@ fn answers_are_bit_identical_across_thread_counts() {
 #[test]
 fn total_steps_is_invariant_under_thread_count() {
     let (_catalog, docs) = docs();
-    let doc = &docs[0];
-    let ctx = doc.tree.root();
-    for query in QUERIES {
-        let mut seen: Vec<(usize, u64)> = Vec::new();
-        for t in THREADS {
-            let engine = Engine::with_backend(Backend::Vm).with_parallelism(t);
-            // warm the plan cache so the profiled run is eval-only and
-            // comparable across engines
-            engine.query(doc, query, ctx).expect("warmup");
-            let profile = engine.explain(doc, query, ctx).expect("explain");
-            seen.push((t, profile.total_steps()));
-        }
-        let (_, reference) = seen[0];
-        for &(t, steps) in &seen {
-            assert_eq!(
-                steps, reference,
-                "`{query}`: total_steps at {t} threads ({steps}) != at 1 thread ({reference}); \
-                 scheduling must not change the semantic work accounting"
-            );
+    for doc in [&docs[0], &docs[2]] {
+        let ctx = doc.tree.root();
+        for query in QUERIES {
+            let mut seen: Vec<(usize, u64)> = Vec::new();
+            for t in THREADS {
+                let engine = Engine::with_backend(Backend::Vm).with_parallelism(t);
+                // warm the plan cache so the profiled run is eval-only and
+                // comparable across engines
+                engine.query(doc, query, ctx).expect("warmup");
+                let profile = engine.explain(doc, query, ctx).expect("explain");
+                seen.push((t, profile.total_steps()));
+            }
+            let (_, reference) = seen[0];
+            for &(t, steps) in &seen {
+                assert_eq!(
+                    steps, reference,
+                    "`{query}`: total_steps at {t} threads ({steps}) != at 1 thread ({reference}); \
+                     scheduling must not change the semantic work accounting"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn parallelism_one_matches_plain_sequential_vm() {
-    // `with_parallelism(1)` must take the untouched sequential code path:
-    // the answer byte-matches `twx_vm::eval_image` with default options
+    // `with_parallelism(1)` must add nothing on top of the VM: the answer
+    // byte-matches `twx_vm::eval_image` with default options
     // on the engine's own compiled program.
     let (_catalog, docs) = docs();
     let doc = &docs[1];
