@@ -30,7 +30,7 @@
 //!   dependency-free deterministic PRNG in [`rng`];
 //! * dense [`NodeSet`] bitsets and [`BitMatrix`] binary relations used by
 //!   every evaluator in the workspace ([`nodeset`]);
-//! * hybrid sparse/dense [`Frontier`] node sets with the per-chunk
+//! * the sparse/dense frontier switching thresholds and the per-chunk
 //!   push/pull step-image primitives behind the frontier-parallel
 //!   evaluator ([`frontier`]).
 
@@ -59,6 +59,6 @@ pub use catalog::Catalog;
 pub use cursor::Cursor;
 pub use edit::{apply_edit, DocVersion, Edit, EditError, EditReceipt, Span, VersionedDocument};
 pub use fcns::BinTree;
-pub use frontier::{Frontier, Step};
+pub use frontier::Step;
 pub use nodeset::{BitMatrix, NodeSet};
 pub use tree::{Document, NodeId, Tree};

@@ -1,23 +1,15 @@
-//! Seeded property suite for the hybrid [`Frontier`] representation and
-//! the push/pull step-image primitives (500 cases).
+//! Seeded property suite for the push/pull step-image primitives (500
+//! cases).
 //!
-//! Three families of properties, each pinned against an independent
-//! reference implementation:
-//!
-//! 1. **Conversion round-trips** — `NodeSet → Frontier → NodeSet` is the
-//!    identity at every cardinality, with universes placed at the
-//!    63/64/65-word boundaries and exactly at the sparse↔dense switching
-//!    thresholds.
-//! 2. **Set algebra** — every `Frontier` operation (union, intersect,
-//!    difference, complement, insert, remove, contains) agrees with the
-//!    same operation on plain [`NodeSet`]s, across mixed
-//!    representations.
-//! 3. **Image equivalence** — on random trees, `push-image ≡ pull-image
-//!    ≡ transpose-image` for all four steps: the push and pull kernels
-//!    and the [`BitMatrix`] step relation give identical images, and the
-//!    matrix of a step transposed equals the matrix of its inverse.
+//! On random trees, `push-image ≡ pull-image ≡ transpose-image` for all
+//! four steps: the push kernels (from a dense source and from sorted
+//! ids), the pull kernel and the [`BitMatrix`] step relation give
+//! identical images, and the matrix of a step transposed equals the
+//! matrix of its inverse. Trees are sized to cross the 64-id word
+//! boundaries, and chunked pulls over word-aligned ranges must compose
+//! to the whole-universe image.
 
-use twx_xtree::frontier::{self, dense_threshold, sparse_threshold, Frontier, Step};
+use twx_xtree::frontier::{self, Step};
 use twx_xtree::generate::{random_tree, Shape};
 use twx_xtree::rng::{Rng, SplitMix64};
 use twx_xtree::{BitMatrix, NodeId, NodeSet, Tree};
@@ -33,133 +25,6 @@ fn random_set(n: usize, keep_num: u64, rng: &mut SplitMix64) -> NodeSet {
             .filter(|_| rng.next_u64() % 64 < keep_num)
             .map(NodeId),
     )
-}
-
-/// Universe sizes covering the word boundaries (63/64/65 ids and the
-/// 63/64/65-**word** marks) plus irregular sizes.
-fn universes(case: usize) -> usize {
-    const U: [usize; 12] = [
-        1,
-        63,
-        64,
-        65,
-        100,
-        63 * 64, // exactly 63 words
-        64 * 64, // exactly 64 words
-        64 * 64 + 1,
-        65 * 64, // exactly 65 words
-        1000,
-        2048,
-        4097,
-    ];
-    U[case % U.len()]
-}
-
-#[test]
-fn conversion_roundtrips_500_cases() {
-    let mut rng = SplitMix64::seed_from_u64(0xF00D);
-    for case in 0..CASES {
-        let n = universes(case);
-        let keep = rng.next_u64() % 65; // 0..=64 → densities 0..=1
-        let set = random_set(n, keep, &mut rng);
-        let f = Frontier::from_nodeset(&set);
-        assert_eq!(f.to_nodeset(), set, "case {case}: roundtrip n={n}");
-        assert_eq!(f.len(), set.count_ones());
-        // representation matches the threshold rule
-        assert_eq!(
-            f.is_dense(),
-            set.count_ones() > dense_threshold(n),
-            "case {case}: repr at card {} of {n}",
-            set.count_ones()
-        );
-        // sorted-id construction agrees
-        let ids: Vec<NodeId> = set.iter().collect();
-        assert_eq!(Frontier::from_sorted_ids(n, ids).to_nodeset(), set);
-    }
-}
-
-#[test]
-fn switching_thresholds_exact() {
-    // Exactly at the boundaries: card == dense_threshold stays sparse,
-    // card == dense_threshold + 1 promotes; inside the hysteresis band
-    // an existing representation is kept.
-    for n in [64, 640, 64 * 64, 1000] {
-        let dt = dense_threshold(n);
-        let st = sparse_threshold(n);
-        assert!(st < dt, "hysteresis band must be nonempty at n={n}");
-
-        let at = NodeSet::from_iter(n, (0..dt as u32).map(NodeId));
-        assert!(
-            !Frontier::from_nodeset(&at).is_dense(),
-            "at threshold, n={n}"
-        );
-        let above = NodeSet::from_iter(n, (0..dt as u32 + 1).map(NodeId));
-        assert!(
-            Frontier::from_nodeset(&above).is_dense(),
-            "above threshold, n={n}"
-        );
-
-        // hysteresis: a band-sized set keeps whichever repr it had
-        let band = NodeSet::from_iter(n, (0..st as u32).map(NodeId));
-        assert!(Frontier::from_nodeset_with_hysteresis(&band, true).is_dense());
-        assert!(!Frontier::from_nodeset_with_hysteresis(&band, false).is_dense());
-        // below the band, even a dense history demotes
-        if st > 0 {
-            let below = NodeSet::from_iter(n, (0..st as u32 - 1).map(NodeId));
-            assert!(!Frontier::from_nodeset_with_hysteresis(&below, true).is_dense());
-        }
-        // above the band, even a sparse history promotes
-        let over = NodeSet::from_iter(n, (0..dt as u32 + 1).map(NodeId));
-        assert!(Frontier::from_nodeset_with_hysteresis(&over, false).is_dense());
-    }
-}
-
-#[test]
-fn set_algebra_matches_nodeset_500_cases() {
-    let mut rng = SplitMix64::seed_from_u64(0xA11A);
-    for case in 0..CASES {
-        let n = universes(case);
-        let a_set = random_set(n, rng.next_u64() % 65, &mut rng);
-        let b_set = random_set(n, rng.next_u64() % 65, &mut rng);
-        let mut a = Frontier::from_nodeset(&a_set);
-        let b = Frontier::from_nodeset(&b_set);
-
-        match case % 4 {
-            0 => {
-                let mut expect = a_set.clone();
-                expect.union_with(&b_set);
-                a.union_with(&b);
-                assert_eq!(a.to_nodeset(), expect, "case {case}: union n={n}");
-            }
-            1 => {
-                let mut expect = a_set.clone();
-                expect.intersect_with(&b_set);
-                a.intersect_with(&b);
-                assert_eq!(a.to_nodeset(), expect, "case {case}: intersect n={n}");
-            }
-            2 => {
-                let mut expect = a_set.clone();
-                expect.difference_with(&b_set);
-                a.difference_with(&b);
-                assert_eq!(a.to_nodeset(), expect, "case {case}: difference n={n}");
-            }
-            _ => {
-                let mut expect = a_set.clone();
-                expect.complement();
-                a.complement();
-                assert_eq!(a.to_nodeset(), expect, "case {case}: complement n={n}");
-            }
-        }
-
-        // point operations agree on a fresh copy
-        let mut f = Frontier::from_nodeset(&a_set);
-        let mut s = a_set.clone();
-        let v = NodeId((rng.next_u64() % n as u64) as u32);
-        assert_eq!(f.contains(v), s.contains(v), "case {case}: contains");
-        assert_eq!(f.insert(v), s.insert(v), "case {case}: insert");
-        assert_eq!(f.remove(v), s.remove(v), "case {case}: remove");
-        assert_eq!(f.to_nodeset(), s, "case {case}: after point ops");
-    }
 }
 
 /// The step relation as an explicit `BitMatrix` (the reference the
@@ -210,16 +75,23 @@ fn push_pull_transpose_images_agree_500_cases() {
         let shape = SHAPES[case % SHAPES.len()];
         let t = random_tree(shape, n, 2, &mut rng);
         let step = Step::ALL[case % 4];
-        let src_set = random_set(t.len(), rng.next_u64() % 65, &mut rng);
-        let src = Frontier::from_nodeset(&src_set);
+        let src = random_set(t.len(), rng.next_u64() % 65, &mut rng);
 
         let push = frontier::axis_image_seq(&t, step, &src);
+        let mut from_ids = NodeSet::empty(t.len());
+        frontier::push_image_ids(&t, step, &src.to_vec(), &mut from_ids);
+        assert_eq!(
+            push,
+            from_ids,
+            "case {case}: push ≡ push from ids ({})",
+            step.name()
+        );
 
         let mut pull = NodeSet::empty(t.len());
         frontier::pull_image_range(&t, step, &src, 0..t.len(), &mut pull);
 
         let matrix = step_matrix(&t, step);
-        let via_matrix = matrix.image(&src_set);
+        let via_matrix = matrix.image(&src);
 
         assert_eq!(push, pull, "case {case}: push ≡ pull ({})", step.name());
         assert_eq!(
@@ -230,7 +102,7 @@ fn push_pull_transpose_images_agree_500_cases() {
         );
         // transpose-image: R(step)ᵀ = R(step⁻¹), so the transposed
         // matrix image equals the inverse step's image
-        let transposed = matrix.transpose().image(&src_set);
+        let transposed = matrix.transpose().image(&src);
         let inverse = frontier::axis_image_seq(&t, step.inverse(), &src);
         assert_eq!(
             transposed,
