@@ -24,7 +24,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # the suite only ever grows: this many tests passed when the event-loop
 # serving PR landed; a silent drop below the floor means tests were
 # lost, not fixed
-TEST_FLOOR=592
+TEST_FLOOR=576
 
 say "test suite"
 test_log="$(mktemp -t twx_tests.XXXXXX.log)"
@@ -42,11 +42,20 @@ print(f"test-count floor: {passed} tests passed (floor {floor})")
 EOF
 rm -f "$test_log"
 
-say "test suite (release, 4 eval threads as the engine default)"
-# the whole suite again with frontier-parallel evaluation switched on by
-# default: every engine that does not pin parallelism explicitly now runs
-# the push/pull kernels, so any scheduling nondeterminism fails loudly
-TWX_EVAL_THREADS=4 cargo test -q --release --workspace
+say "test suite (release)"
+# the whole suite again without debug assertions, the way the shipped
+# binaries run
+cargo test -q --release --workspace
+
+say "perfbench build (the benchmark builds against the workspace crates)"
+# perfbench is its own workspace, so nothing above compiles it; removing
+# an API it calls must fail here, not in the benchmark. Cargo may refresh
+# perfbench/Cargo.lock while resolving path crates: keep the committed one
+perfbench_lock="$(mktemp -t twx_perfbench_lock.XXXXXX)"
+cp perfbench/Cargo.lock "$perfbench_lock"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cp "$perfbench_lock" perfbench/Cargo.lock
+rm -f "$perfbench_lock"
 
 say "conformance fuzz gate"
 cargo build --release -p twx-conform --bin twx-fuzz
@@ -63,7 +72,7 @@ assert doc["replayed"] > 0, "golden corpus was not replayed"
 assert doc["replay_divergences"] == 0, doc
 routes = [r["route"] for r in doc["routes"]]
 assert routes == ["naive", "raw-product", "product", "automaton", "logic",
-                  "vm-cold", "vm", "parallel", "service"], routes
+                  "vm-cold", "vm", "service"], routes
 print("twx-fuzz: 300 iterations +", doc["replayed"],
       "golden repros, 0 divergences across", len(doc["routes"]), "routes")
 EOF
@@ -89,28 +98,6 @@ print("vm fault self-test:", doc["divergences"], "divergences caught, repros",
       max(d["doc_nodes"] for d in doc["found"]), "doc nodes")
 EOF
 rm -f "$vm_fault_out"
-
-say "frontier fault self-test (frontier=drop-chunk must be caught and shrunk)"
-frontier_fault_out="$(mktemp -t twx_frontier_fault.XXXXXX.json)"
-if ./target/release/twx-fuzz --seed 42 --iters 300 \
-    --fault frontier=drop-chunk > "$frontier_fault_out"; then
-  echo "a parallel kernel dropping a chunk was NOT caught" >&2
-  exit 1
-fi
-python3 - "$frontier_fault_out" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["divergences"] > 0, "frontier fault injected but no divergence found"
-for d in doc["found"]:
-    assert d["routes"] == ["parallel"], d["routes"]
-    assert d["query_size"] <= 6, f"shrunk query still has {d['query_size']} AST nodes"
-    assert d["doc_nodes"] <= 8, f"shrunk document still has {d['doc_nodes']} nodes"
-print("frontier fault self-test:", doc["divergences"], "divergences caught,",
-      "only the parallel route blamed, repros shrunk to <=",
-      max(d["query_size"] for d in doc["found"]), "AST nodes /",
-      max(d["doc_nodes"] for d in doc["found"]), "doc nodes")
-EOF
-rm -f "$frontier_fault_out"
 
 say "mutation fuzz gate (live corpus + result cache)"
 mut_out="$(mktemp -t twx_mutate.XXXXXX.json)"
@@ -187,7 +174,7 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["schema"] == "twx-bench/1", doc.get("schema")
 assert doc["obs_enabled"] is True
-assert len(doc["experiments"]) == 14, len(doc["experiments"])
+assert len(doc["experiments"]) == 13, len(doc["experiments"])
 assert len(doc["quickstart_profiles"]) == 1, doc["quickstart_profiles"]
 vm_profile = doc["quickstart_profiles"][0]
 assert vm_profile["result_count"] == 2, vm_profile
@@ -227,7 +214,7 @@ assert e12["pool"] >= 5, e12["pool"]
 assert e12["geomean_speedup_hot"] >= 2, (
     f"vm hot geomean speedup {e12['geomean_speedup_hot']:.2f}x below the 2x bar")
 deep = e12["deep"]
-assert deep["doc_size"] >= 20000 and deep["threads"] == 1, deep
+assert deep["doc_size"] >= 20000, deep
 assert len(deep["queries"]) == e12["pool"], deep
 assert deep["geomean_speedup_hot"] >= 1, (
     f"vm slower than product on the deep doc: {deep['geomean_speedup_hot']:.2f}x")
@@ -241,13 +228,6 @@ assert len(e13["recovery"]) == 4, e13["recovery"]
 assert all(p["recover_ms"] > 0 for p in e13["recovery"]), e13["recovery"]
 assert e13["snapshot"]["write_nodes_per_s"] > 0, e13["snapshot"]
 assert e13["snapshot"]["load_nodes_per_s"] > 0, e13["snapshot"]
-e14 = doc["e14"]
-assert e14["host_threads"] >= 1, e14
-assert e14["pool"] >= 4, e14
-for q in e14["queries"]:
-    for key in ("us_1t", "us_2t", "us_4t", "us_8t"):
-        assert q[key] > 0, (key, q)
-assert e14["geomean_speedup_4t"] > 0, e14
 print("BENCH_HARNESS.json: schema ok,", len(doc["experiments"]), "experiments,",
       len(doc["quickstart_profiles"]), "profile, plan cache", cache)
 print("e10:", len(e10["shards"]), "shard counts,",
@@ -264,54 +244,49 @@ print("e13: %.1fx compression (%.2f B/node on disk vs %d B arena), "
       "load %.1fM nodes/s"
       % (e13["compression_ratio"], e13["disk_bytes_per_node"],
          e13["arena_bytes_per_node"], e13["snapshot"]["load_nodes_per_s"] / 1e6))
-print("e14: %.1fx geomean at 4 threads on %d-node doc (host has %d thread(s))"
-      % (e14["geomean_speedup_4t"], e14["doc_size"], e14["host_threads"]))
 EOF
 
-say "E14 strong-scaling gate (>=2x at 4 threads on a 1M-node doc)"
-# strong scaling needs cores: the gate only binds on hosts with >= 4
-# hardware threads — elsewhere the quick-mode determinism checks above
-# already exercised the parallel kernels
-host_cores="$(nproc 2>/dev/null || echo 1)"
-if [ "$host_cores" -ge 4 ]; then
-  e14_out="$(mktemp -t twx_e14.XXXXXX.json)"
-  cargo run --release -p twx-bench --bin harness -- e14 --json "$e14_out" > /dev/null
-  python3 - "$e14_out" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-e14 = doc["e14"]
-assert e14["doc_size"] >= 1_000_000, e14["doc_size"]
-assert e14["geomean_speedup_4t"] >= 2, (
-    f"4-thread geomean speedup {e14['geomean_speedup_4t']:.2f}x below the 2x bar "
-    f"on a {e14['doc_size']}-node doc ({e14['host_threads']} host threads)")
-print("e14 gate: %.1fx geomean at 4 threads on %d-node doc"
-      % (e14["geomean_speedup_4t"], e14["doc_size"]))
+say "observability overhead gate (enabled vs disabled, median of 15 pairs <=1.05x)"
+# one pair of runs is noise-bound on a shared host (single pair ratios
+# spread 0.7-1.4x on a 2-vCPU VM, about a quarter above 1.05 at either
+# commit): run alternating enabled/disabled process pairs and gate on
+# the median ratio. A probe run takes ~0.1 s, so 15 pairs cost seconds
+probe_pairs=15
+probe_dir="$(mktemp -d -t twx_probe.XXXXXX)"
+cargo build --release --example overhead_probe
+cp target/release/examples/overhead_probe "$probe_dir/on"
+cargo build --release --no-default-features --example overhead_probe
+cp target/release/examples/overhead_probe "$probe_dir/off"
+for i in $(seq 1 "$probe_pairs"); do
+  if [ $((i % 2)) -eq 1 ]; then
+    "$probe_dir/on" > "$probe_dir/on_$i.json"
+    "$probe_dir/off" > "$probe_dir/off_$i.json"
+  else
+    "$probe_dir/off" > "$probe_dir/off_$i.json"
+    "$probe_dir/on" > "$probe_dir/on_$i.json"
+  fi
+done
+python3 - "$probe_dir" "$probe_pairs" <<'EOF'
+import json, statistics, sys
+d, pairs = sys.argv[1], int(sys.argv[2])
+ratios = []
+for i in range(1, pairs + 1):
+    on = json.load(open(f"{d}/on_{i}.json"))
+    off = json.load(open(f"{d}/off_{i}.json"))
+    assert on["schema"] == off["schema"] == "twx-overhead/1", (on, off)
+    assert on["obs_enabled"] is True and off["obs_enabled"] is False, (on, off)
+    assert on["matches_per_round"] == off["matches_per_round"], "probes did different work"
+    ratio = on["min_round_ns"] / off["min_round_ns"]
+    ratios.append(ratio)
+    print(f"pair {i}: {ratio:.3f}x (enabled {on['min_round_ns']}ns, "
+          f"disabled {off['min_round_ns']}ns, min of {on['rounds']} rounds)")
+median = statistics.median(ratios)
+assert median <= 1.05, (
+    f"instrumentation overhead: median {median:.3f}x over {pairs} pairs exceeds 1.05x "
+    f"(pair ratios {', '.join(f'{r:.3f}' for r in ratios)})")
+print(f"overhead: median {median:.3f}x over {pairs} alternating pairs")
 EOF
-  rm -f "$e14_out"
-else
-  echo "skipped: host has $host_cores core(s), gate needs >= 4"
-fi
-
-say "observability overhead gate (enabled vs disabled, <=1.05x)"
-probe_on="$(mktemp -t twx_probe_on.XXXXXX.json)"
-probe_off="$(mktemp -t twx_probe_off.XXXXXX.json)"
-cargo run --release --example overhead_probe > "$probe_on"
-cargo run --release --no-default-features --example overhead_probe > "$probe_off"
-python3 - "$probe_on" "$probe_off" <<'EOF'
-import json, sys
-on = json.load(open(sys.argv[1]))
-off = json.load(open(sys.argv[2]))
-assert on["schema"] == off["schema"] == "twx-overhead/1", (on, off)
-assert on["obs_enabled"] is True and off["obs_enabled"] is False, (on, off)
-assert on["matches_per_round"] == off["matches_per_round"], "probes did different work"
-ratio = on["min_round_ns"] / off["min_round_ns"]
-assert ratio <= 1.05, (
-    f"instrumentation overhead {ratio:.3f}x exceeds 1.05x "
-    f"({on['min_round_ns']}ns enabled vs {off['min_round_ns']}ns disabled)")
-print(f"overhead: {ratio:.3f}x (enabled {on['min_round_ns']}ns, "
-      f"disabled {off['min_round_ns']}ns, min of {on['rounds']} rounds)")
-EOF
-rm -f "$probe_on" "$probe_off"
+rm -rf "$probe_dir"
 
 say "twx-serve round trip"
 cargo build --release -p twx-corpus --bin twx-serve

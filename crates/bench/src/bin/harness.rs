@@ -53,7 +53,7 @@ fn parse_args() -> Args {
 
 fn die(msg: &str) -> ! {
     eprintln!("harness: {msg}");
-    eprintln!("usage: harness [--quick] [--seed <u64>] [--json <path>] [e1 .. e14]");
+    eprintln!("usage: harness [--quick] [--seed <u64>] [--json <path>] [e1 .. e13]");
     std::process::exit(2)
 }
 
@@ -94,15 +94,14 @@ fn main() {
 
     // experiments with a structured summary exported as a top-level
     // field (per-shard serving stats for e10, live-corpus cache stats
-    // for e11, durability throughput for e13, strong-scaling curve for
-    // e14) run outside the plain-table registry
+    // for e11, VM speedups for e12, durability throughput for e13) run
+    // outside the plain-table registry
     type FullRunner = fn(&RunCfg) -> (Table, Json);
-    let full_runners: [(&str, FullRunner); 5] = [
+    let full_runners: [(&str, FullRunner); 4] = [
         ("e10", experiments::e10_corpus_serve::run_full),
         ("e11", experiments::e11_live_corpus::run_full),
         ("e12", experiments::e12_vm::run_full),
         ("e13", experiments::e13_durability::run_full),
-        ("e14", experiments::e14_scaling::run_full),
     ];
 
     for sel in &args.selected {

@@ -14,8 +14,8 @@
 //! serve parses, simplifies and compiles) and the hot serving posture
 //! (plan-cache hit, eval only).
 //!
-//! A second, separate measurement times the same pool hot at one thread
-//! on one 20k-node `Shape::Deep(2)` document, where a closure needs one
+//! A second, separate measurement times the same pool hot on one
+//! 20k-node `Shape::Deep(2)` document, where a closure needs one
 //! round per tree level: the case the VM's sparse closure rounds exist
 //! for. A third, ungated one times the E1 and E2 query mixes hot on each
 //! E1/E2 workload shape, so a query family where the VM loses to the
@@ -356,7 +356,6 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
                 .field("doc_size", DEEP_SIZE)
                 .field("height", deep.height)
                 .field("serves", deep.serves)
-                .field("threads", 1usize)
                 .field("queries", Json::Arr(deep_queries))
                 .field("geomean_speedup_hot", deep.geomean_speedup_hot),
         )
@@ -365,7 +364,6 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
             Json::obj()
                 .field("doc_size", sz.family_size)
                 .field("serves", families.serves)
-                .field("threads", 1usize)
                 .field("queries", Json::Arr(family_rows))
                 .field("geomean_speedup_hot", families.geomean_speedup_hot),
         )
@@ -388,7 +386,7 @@ struct Deep {
     geomean_speedup_hot: f64,
 }
 
-/// Times the pool hot at one thread on one [`DEEP_SIZE`]-node
+/// Times the pool hot on one [`DEEP_SIZE`]-node
 /// `Shape::Deep(2)` document, after checking the two agree.
 fn run_deep(cfg: &RunCfg, catalog: &Catalog, serves: usize) -> Deep {
     let mut rng = SplitMix64::seed_from_u64(cfg.seed_for(12) ^ 0xDEE9);
@@ -400,7 +398,7 @@ fn run_deep(cfg: &RunCfg, catalog: &Catalog, serves: usize) -> Deep {
         .map(|v| doc.tree.depth(v))
         .max()
         .unwrap_or(0);
-    let vm = Engine::new().with_parallelism(1);
+    let vm = Engine::new();
     let rows: Vec<(&'static str, f64, f64)> = QUERIES
         .iter()
         .map(|&(name, q)| {
@@ -434,11 +432,11 @@ struct Families {
     geomean_speedup_hot: f64,
 }
 
-/// Times the E1 and E2 query mixes hot at one thread on one `size`-node
+/// Times the E1 and E2 query mixes hot on one `size`-node
 /// document per E1/E2 workload shape, after checking the two agree.
 fn run_families(cfg: &RunCfg, catalog: &Catalog, size: usize, serves: usize) -> Families {
     let mut rng = SplitMix64::seed_from_u64(cfg.seed_for(12) ^ 0xFA71);
-    let vm = Engine::new().with_parallelism(1);
+    let vm = Engine::new();
     let mix: Vec<_> = e1_core_eval::QUERY_MIX
         .iter()
         .map(|&(name, q)| ("e1", name, q))

@@ -5,7 +5,6 @@ pub mod e10_corpus_serve;
 pub mod e11_live_corpus;
 pub mod e12_vm;
 pub mod e13_durability;
-pub mod e14_scaling;
 pub mod e1_core_eval;
 pub mod e2_regxpath_eval;
 pub mod e3_translations;
@@ -34,7 +33,6 @@ pub fn run_all(cfg: &RunCfg) -> Vec<Table> {
         e11_live_corpus::run(cfg),
         e12_vm::run(cfg),
         e13_durability::run(cfg),
-        e14_scaling::run(cfg),
     ]
 }
 

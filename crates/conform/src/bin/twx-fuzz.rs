@@ -4,7 +4,7 @@
 //! twx-fuzz [--seed N] [--iters N] [--time-budget SECS] [--max-depth N]
 //!          [--max-doc-nodes N] [--labels N] [--replay PATH]
 //!          [--corpus PATH]
-//!          [--fault ROUTE=KIND|frontier=KIND|cache=KIND|store=KIND]
+//!          [--fault ROUTE=KIND|cache=KIND|store=KIND]
 //!          [--no-shrink] [--mutate] [--crash]
 //! ```
 //!
@@ -36,8 +36,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use twx_conform::{
-    corpus, run_crash_fuzz, run_fuzz, run_mutation_fuzz, CacheFault, Fault, FrontierFault,
-    FuzzConfig, Repro, StoreFault,
+    corpus, run_crash_fuzz, run_fuzz, run_mutation_fuzz, CacheFault, Fault, FuzzConfig, Repro,
+    StoreFault,
 };
 use twx_obs::json::Json;
 
@@ -54,7 +54,7 @@ struct Args {
 fn usage() -> String {
     "usage: twx-fuzz [--seed N] [--iters N] [--time-budget SECS] [--max-depth N] \
      [--max-doc-nodes N] [--labels N] [--replay PATH] [--corpus PATH] \
-     [--fault ROUTE=KIND|frontier=KIND|cache=KIND|store=KIND] [--no-shrink] \
+     [--fault ROUTE=KIND|cache=KIND|store=KIND] [--no-shrink] \
      [--mutate] [--crash]"
         .to_string()
 }
@@ -95,11 +95,6 @@ fn parse_args() -> Result<Args, String> {
                 let spec = value("--fault")?;
                 if spec.starts_with("cache=") {
                     args.cache_fault = Some(CacheFault::parse(&spec)?);
-                } else if let Some(kind) = spec.strip_prefix("frontier=") {
-                    args.cfg.frontier_fault = Some(
-                        FrontierFault::parse(kind)
-                            .ok_or_else(|| format!("unknown frontier fault '{spec}'"))?,
-                    );
                 } else if spec.starts_with("store=") {
                     args.store_fault = StoreFault::parse(&spec)
                         .ok_or_else(|| format!("unknown store fault '{spec}'"))?;

@@ -7,7 +7,6 @@ use std::time::Duration;
 use treewalk::core::{rpath_to_formula, rpath_to_ntwa};
 use treewalk::{fotc, twa, Engine};
 use twx_corpus::{Corpus, QueryService, ServiceConfig};
-use twx_frontier::FrontierFault;
 use twx_obs::{self as obs, Counter};
 use twx_regxpath::eval::Compiled;
 use twx_regxpath::eval_naive::eval_rel_naive;
@@ -31,13 +30,7 @@ pub struct Conformer {
     /// register arena warm — the production serving configuration. It
     /// also supplies the simplified AST the reference routes translate.
     vm: Engine,
-    /// The persistent frontier-parallel engine behind
-    /// [`RouteId::Parallel`]: the VM at `parallelism = 2`.
-    par: Engine,
     fault: Option<Fault>,
-    /// Test-only corruption of the parallel kernels, armed only around
-    /// the [`RouteId::Parallel`] evaluations.
-    frontier_fault: Option<FrontierFault>,
     route_nanos: [u64; RouteId::ALL.len()],
 }
 
@@ -49,23 +42,10 @@ impl Conformer {
 
     /// A checker that corrupts one route's answers (see [`Fault`]).
     pub fn with_fault(catalog: Arc<Catalog>, fault: Option<Fault>) -> Conformer {
-        Conformer::with_faults(catalog, fault, None)
-    }
-
-    /// A checker with both fault hooks: post-hoc answer corruption
-    /// ([`Fault`]) and in-kernel chunk corruption ([`FrontierFault`],
-    /// applied only to the [`RouteId::Parallel`] route).
-    pub fn with_faults(
-        catalog: Arc<Catalog>,
-        fault: Option<Fault>,
-        frontier_fault: Option<FrontierFault>,
-    ) -> Conformer {
         Conformer {
             catalog,
             vm: Engine::new(),
-            par: Engine::new().with_parallelism(2),
             fault,
-            frontier_fault,
             route_nanos: [0; RouteId::ALL.len()],
         }
     }
@@ -130,16 +110,6 @@ impl Conformer {
                 RouteId::VmCold => self.engine_answer(&Engine::new(), query, doc),
                 // the plan cache was primed above: answer from the hit
                 RouteId::Vm => self.engine_answer(&self.vm, query, doc),
-                RouteId::Parallel => {
-                    // prime the plan cache, then answer from the hit —
-                    // with the kernel fault (if any) armed only while
-                    // this route evaluates
-                    let _ = self.par.prepare_in(&self.catalog, query);
-                    twx_frontier::set_fault(self.frontier_fault);
-                    let answer = self.engine_answer(&self.par, query, doc);
-                    twx_frontier::set_fault(None);
-                    answer
-                }
                 RouteId::Service => self.service_answer(query, doc),
             }
             .map(|s| {

@@ -16,7 +16,7 @@ use twx_xtree::rng::{Rng, SplitMix64};
 use twx_xtree::Catalog;
 
 use crate::shrink::minimize;
-use crate::{Conformer, Divergence, Fault, FrontierFault, RouteId};
+use crate::{Conformer, Divergence, Fault, RouteId};
 
 /// Knobs for [`run_fuzz`].
 #[derive(Clone, Copy, Debug)]
@@ -36,9 +36,6 @@ pub struct FuzzConfig {
     pub labels: usize,
     /// Test-only answer corruption (see [`Fault`]).
     pub fault: Option<Fault>,
-    /// Test-only corruption of the parallel frontier kernels, applied
-    /// to the [`RouteId::Parallel`] route (see [`FrontierFault`]).
-    pub frontier_fault: Option<FrontierFault>,
     /// Whether to minimise divergences before reporting them.
     pub shrink: bool,
 }
@@ -53,7 +50,6 @@ impl Default for FuzzConfig {
             max_doc_nodes: 12,
             labels: 2,
             fault: None,
-            frontier_fault: None,
             shrink: true,
         }
     }
@@ -160,7 +156,7 @@ pub(crate) const SHAPES: [Shape; 5] = [
 pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let started = Instant::now();
     let catalog = Arc::new(Catalog::from_names(label_names(cfg.labels.max(1))));
-    let mut conf = Conformer::with_faults(Arc::clone(&catalog), cfg.fault, cfg.frontier_fault);
+    let mut conf = Conformer::with_fault(Arc::clone(&catalog), cfg.fault);
     let gen_cfg = RGenConfig {
         labels: cfg.labels.max(1),
         ..RGenConfig::default()
@@ -301,28 +297,6 @@ mod tests {
         );
         let d = &report.divergences[0];
         assert_eq!(d.minimized.route_names(), vec!["vm"]);
-        assert!(d.query_size <= 6, "query_size {} > 6", d.query_size);
-        assert!(d.doc_nodes <= 8, "doc_nodes {} > 8", d.doc_nodes);
-    }
-
-    /// The `--fault frontier=drop-chunk` self-test: a parallel kernel
-    /// that silently loses a chunk of the id space is caught by the
-    /// parallel route's differential check and shrunk to a tiny repro.
-    #[test]
-    fn frontier_fault_is_caught_and_shrunk() {
-        let report = run_fuzz(&FuzzConfig {
-            seed: 42,
-            iters: 60,
-            frontier_fault: Some(FrontierFault::DropChunk),
-            ..FuzzConfig::default()
-        });
-        assert!(
-            !report.divergences.is_empty(),
-            "frontier fault never diverged in {} iterations",
-            report.iterations
-        );
-        let d = &report.divergences[0];
-        assert_eq!(d.minimized.route_names(), vec!["parallel"]);
         assert!(d.query_size <= 6, "query_size {} > 6", d.query_size);
         assert!(d.doc_nodes <= 8, "doc_nodes {} > 8", d.doc_nodes);
     }

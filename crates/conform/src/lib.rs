@@ -11,9 +11,7 @@
 //!   product evaluator, the paper's three translations (product, NTWA,
 //!   FO(MTC)) applied to the engine's simplified AST, the engine's
 //!   bytecode VM plan-cache-cold and in its production (hot,
-//!   arena-recycled) configuration, the frontier-parallel VM
-//!   (`parallelism = 2`, dense images through the `twx-frontier`
-//!   push/pull kernels), and a sharded [`QueryService`] — and reports
+//!   arena-recycled) configuration, and a sharded [`QueryService`] — and reports
 //!   any disagreement as a typed [`Divergence`] naming the odd routes
 //!   and their answers.
 //! * [`shrink::minimize`] greedily minimises a failing pair over both the
@@ -59,7 +57,6 @@ pub use fuzz::{run_fuzz, FuzzConfig, FuzzReport};
 pub use mutate::{run_mutation_fuzz, CacheFault, MutationReport, ScriptOp};
 pub use shrink::{minimize, ShrinkOutcome};
 pub use twx_corpus::StoreFault;
-pub use twx_frontier::FrontierFault;
 
 /// One evaluation route through the system. Every route must produce the
 /// same answer set for the triangle (and the serving layer on top of it)
@@ -89,10 +86,6 @@ pub enum RouteId {
     /// [`treewalk::Engine`], plan-cache-hot, registers recycled through
     /// the thread-local arena across checks — the route serving runs.
     Vm,
-    /// The frontier-parallel evaluator: a persistent engine,
-    /// plan-cache-hot, with `parallelism = 2` so its dense axis images
-    /// and filter joins take the `twx-frontier` push/pull kernel paths.
-    Parallel,
     /// A [`twx_corpus::QueryService`] over a 2-shard corpus holding two
     /// copies of the document, checked for internal agreement and
     /// compared against the sequential answer.
@@ -101,7 +94,7 @@ pub enum RouteId {
 
 impl RouteId {
     /// Every route, in the order answers are collected and reported.
-    pub const ALL: [RouteId; 9] = [
+    pub const ALL: [RouteId; 8] = [
         RouteId::Naive,
         RouteId::RawProduct,
         RouteId::Product,
@@ -109,7 +102,6 @@ impl RouteId {
         RouteId::Logic,
         RouteId::VmCold,
         RouteId::Vm,
-        RouteId::Parallel,
         RouteId::Service,
     ];
 
@@ -128,7 +120,6 @@ impl RouteId {
             RouteId::Logic => "logic",
             RouteId::VmCold => "vm-cold",
             RouteId::Vm => "vm",
-            RouteId::Parallel => "parallel",
             RouteId::Service => "service",
         }
     }

@@ -48,7 +48,7 @@
 //!
 //! ```text
 //! twx-serve [--port P] [--shards N] [--workers N] [--queue N]
-//!           [--eval-threads N] [--timeout-ms MS] [--max-conns N] [--dispatchers N]
+//!           [--timeout-ms MS] [--max-conns N] [--dispatchers N]
 //!           [--backpressure-bytes N]
 //!           [--slowlog N] [--synthetic DOCSxNODES [--seed S]]
 //!           [--store DIR [--fsync-every N]]
@@ -57,9 +57,8 @@
 //!
 //! Queries compile to the engine's bytecode VM; the paper's other
 //! constructions are conformance references, not serving options.
-//! `--eval-threads 0` (the default) auto-sizes intra-query parallelism
-//! to `host cores / workers` so concurrent shard evaluations share the
-//! machine instead of oversubscribing it.
+//! Each evaluation runs on one worker thread; parallelism lives across
+//! requests and shards.
 //!
 //! `--port 0` binds an ephemeral port; the chosen address is printed as
 //! `twx-serve listening on 127.0.0.1:PORT` so scripts can scrape it.
@@ -81,7 +80,6 @@ use std::sync::Arc;
 use std::time::Duration;
 use treewalk::Engine;
 use twx_corpus::proto::{ProtoHandler, MAX_REQUEST_BYTES};
-use twx_corpus::service::default_eval_threads;
 use twx_corpus::{Corpus, QueryService, ServiceConfig, StoreConfig};
 use twx_netio::{NetStats, ServerConfig};
 use twx_xtree::generate::{random_document_in, Shape};
@@ -93,7 +91,6 @@ struct Args {
     shards: usize,
     workers: usize,
     queue: usize,
-    eval_threads: usize,
     timeout: Option<Duration>,
     slowlog: usize,
     max_conns: usize,
@@ -109,7 +106,6 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: twx-serve [--port P] [--shards N] [--workers N] [--queue N] \
-         [--eval-threads N] \
          [--timeout-ms MS] [--max-conns N] [--dispatchers N] \
          [--backpressure-bytes N] [--slowlog N] \
          [--synthetic DOCSxNODES [--seed S]] [--store DIR [--fsync-every N]] \
@@ -124,7 +120,6 @@ fn parse_args() -> Args {
         shards: 4,
         workers: 0, // 0 = auto below
         queue: 256,
-        eval_threads: 0, // 0 = auto: host cores / workers
         timeout: None,
         slowlog: 16,
         max_conns: 10_000,
@@ -144,9 +139,6 @@ fn parse_args() -> Args {
             "--shards" => args.shards = val("--shards").parse().unwrap_or_else(|_| usage()),
             "--workers" => args.workers = val("--workers").parse().unwrap_or_else(|_| usage()),
             "--queue" => args.queue = val("--queue").parse().unwrap_or_else(|_| usage()),
-            "--eval-threads" => {
-                args.eval_threads = val("--eval-threads").parse().unwrap_or_else(|_| usage());
-            }
             "--timeout-ms" => {
                 let ms: u64 = val("--timeout-ms").parse().unwrap_or_else(|_| usage());
                 args.timeout = Some(Duration::from_millis(ms));
@@ -191,12 +183,6 @@ fn parse_args() -> Args {
         args.workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(2);
-    }
-    if args.eval_threads == 0 {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        args.eval_threads = default_eval_threads(cores, args.workers);
     }
     if args.dispatchers == 0 {
         args.dispatchers = args.workers;
@@ -269,7 +255,7 @@ fn main() -> ExitCode {
     };
     let service = QueryService::new(
         Arc::clone(&corpus),
-        Engine::new().with_parallelism(args.eval_threads),
+        Engine::new(),
         ServiceConfig {
             workers: args.workers,
             queue_capacity: args.queue,
@@ -285,13 +271,12 @@ fn main() -> ExitCode {
         .then(|| corpus.spawn_snapshotter(1 << 20, Duration::from_millis(200)));
     eprintln!(
         "corpus: {} docs / {} nodes in {} shards; {} workers, {} dispatchers, \
-         {} eval threads, max {} conns{}",
+         max {} conns{}",
         corpus.n_docs(),
         corpus.total_nodes(),
         corpus.n_shards(),
         args.workers,
         args.dispatchers,
-        args.eval_threads,
         args.max_conns,
         if let Some(s) = corpus.store() {
             format!("; store {}", s.dir().display())

@@ -260,7 +260,6 @@ impl ProtoHandler {
             .field("queued", s.queued)
             .field("queue_capacity", s.queue_capacity)
             .field("workers", s.workers)
-            .field("eval_threads", s.eval_threads)
             .field("plan_cache_hits", cache.hits)
             .field("plan_cache_misses", cache.misses)
             .field("updates", s.updates)

@@ -73,15 +73,11 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Sizes the engine's per-evaluation thread pool from the host core
-/// count and the number of evaluations that run concurrently (the
-/// service's worker pool): each of `workers` requests evaluating at
-/// once gets an equal share of `host_cores`, never less than one
-/// thread. With one worker the whole machine goes to intra-query
-/// parallelism; with as many workers as cores, evaluation stays serial
-/// and the parallelism lives across requests instead.
-pub fn default_eval_threads(host_cores: usize, workers: usize) -> usize {
-    (host_cores / workers.max(1)).max(1)
+/// Returns 1: evaluation is single-threaded.
+#[doc(hidden)]
+#[deprecated(note = "evaluation is single-threaded; kept for perfbench/src/stack.rs")]
+pub fn default_eval_threads(_host_cores: usize, _workers: usize) -> usize {
+    1
 }
 
 /// An error from [`QueryService::submit`].
@@ -200,10 +196,6 @@ pub struct ServiceStats {
     pub queue_capacity: usize,
     /// Worker threads serving the queue.
     pub workers: usize,
-    /// Per-evaluation worker-thread bound of the engine
-    /// ([`treewalk::Engine::parallelism`]) — intra-query parallelism,
-    /// multiplying on top of the worker pool.
-    pub eval_threads: usize,
 }
 
 #[derive(Default)]
@@ -423,7 +415,7 @@ pub struct QueryService {
 
 impl QueryService {
     /// Starts a service over `corpus`, compiling through `engine` (whose
-    /// plan cache and parallelism the service shares).
+    /// plan cache the service shares).
     pub fn new(corpus: Arc<Corpus>, engine: Engine, config: ServiceConfig) -> QueryService {
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let results = Arc::new(ResultCache::default());
@@ -640,7 +632,6 @@ impl QueryService {
             queued: self.queue.len(),
             queue_capacity: self.queue.capacity(),
             workers: self.workers.len(),
-            eval_threads: self.engine.parallelism(),
         }
     }
 
@@ -773,34 +764,5 @@ fn worker_loop(
         if st.remaining == 0 {
             item.request.done.notify_all();
         }
-    }
-}
-
-#[cfg(test)]
-mod sizing_tests {
-    use super::default_eval_threads;
-
-    #[test]
-    fn splits_cores_across_concurrent_evals() {
-        assert_eq!(default_eval_threads(8, 4), 2);
-        assert_eq!(default_eval_threads(16, 4), 4);
-        assert_eq!(default_eval_threads(12, 5), 2); // floor division
-    }
-
-    #[test]
-    fn never_below_one_thread() {
-        assert_eq!(default_eval_threads(1, 8), 1);
-        assert_eq!(default_eval_threads(4, 64), 1);
-        assert_eq!(default_eval_threads(0, 3), 1);
-    }
-
-    #[test]
-    fn zero_workers_treated_as_one() {
-        assert_eq!(default_eval_threads(6, 0), 6);
-    }
-
-    #[test]
-    fn one_worker_gets_the_whole_machine() {
-        assert_eq!(default_eval_threads(8, 1), 8);
     }
 }

@@ -324,7 +324,6 @@ fn observability_ops(framing: Framing) {
     assert!(r.contains(r#""frames_rx":"#), "{r}");
     assert!(r.contains(r#""frames_tx":"#), "{r}");
     assert!(r.contains(r#""backpressure_stalls":"#), "{r}");
-    assert!(r.contains(r#""eval_threads":"#), "{r}");
     for key in [
         "latency_p50_us",
         "latency_p90_us",

@@ -54,65 +54,62 @@ fn build_corpus(
 }
 
 /// Concurrent answers equal sequential per-document evaluation and the
-/// reference product evaluator, at one and two evaluation threads, for
-/// both placements and several shard counts.
+/// reference product evaluator, for both placements and several shard
+/// counts.
 #[test]
 fn service_matches_sequential_engine() {
-    for threads in [1, 2] {
-        for (n_shards, placement) in [
-            (1, Placement::RoundRobin),
-            (3, Placement::RoundRobin),
-            (4, Placement::SizeBalanced),
-        ] {
-            let corpus = build_corpus(0xC0DE + n_shards as u64, 10, 60, n_shards, placement);
-            let engine = Engine::new().with_parallelism(threads);
-            let service = QueryService::new(
-                Arc::clone(&corpus),
-                engine.clone(),
-                ServiceConfig {
-                    workers: 3,
-                    queue_capacity: 64,
-                    default_timeout: None,
-                    slowlog_capacity: 16,
-                },
+    for (n_shards, placement) in [
+        (1, Placement::RoundRobin),
+        (3, Placement::RoundRobin),
+        (4, Placement::SizeBalanced),
+    ] {
+        let corpus = build_corpus(0xC0DE + n_shards as u64, 10, 60, n_shards, placement);
+        let engine = Engine::new();
+        let service = QueryService::new(
+            Arc::clone(&corpus),
+            engine.clone(),
+            ServiceConfig {
+                workers: 3,
+                queue_capacity: 64,
+                default_timeout: None,
+                slowlog_capacity: 16,
+            },
+        );
+        for q in QUERIES {
+            let answer = service
+                .query(q)
+                .unwrap_or_else(|e| panic!("{n_shards} shards: query `{q}` failed: {e}"));
+            assert!(!answer.timed_out);
+            assert_eq!(
+                answer.per_doc.len(),
+                corpus.n_docs(),
+                "query `{q}` covers all docs"
             );
-            for q in QUERIES {
-                let answer = service.query(q).unwrap_or_else(|e| {
-                    panic!("{threads}t/{n_shards} shards: query `{q}` failed: {e}")
-                });
-                assert!(!answer.timed_out);
+            assert_eq!(answer.shards.len(), n_shards);
+            let mut expected_total = 0u64;
+            let reference = Compiled::new(engine.prepare_in(corpus.catalog(), q).unwrap().path());
+            for (id, _version, set) in &answer.per_doc {
+                let doc = corpus.doc(*id).expect("answer ids are corpus ids");
+                let root = doc.tree.root();
+                let sequential = engine.query(&doc, q, root).unwrap();
                 assert_eq!(
-                    answer.per_doc.len(),
-                    corpus.n_docs(),
-                    "query `{q}` covers all docs"
+                    *set, sequential,
+                    "{n_shards} shards: `{q}` on {id} diverges from sequential"
                 );
-                assert_eq!(answer.shards.len(), n_shards);
-                let mut expected_total = 0u64;
-                let reference =
-                    Compiled::new(engine.prepare_in(corpus.catalog(), q).unwrap().path());
-                for (id, _version, set) in &answer.per_doc {
-                    let doc = corpus.doc(*id).expect("answer ids are corpus ids");
-                    let root = doc.tree.root();
-                    let sequential = engine.query(&doc, q, root).unwrap();
-                    assert_eq!(
-                        *set, sequential,
-                        "{threads}t/{n_shards} shards: `{q}` on {id} diverges from sequential"
-                    );
-                    let ctx = NodeSet::singleton(doc.tree.len(), root);
-                    assert_eq!(
-                        sequential,
-                        reference.image(&doc.tree, &ctx),
-                        "{threads}t: `{q}` on {id} diverges from the product reference"
-                    );
-                    expected_total += sequential.count() as u64;
-                }
-                assert_eq!(answer.total_matches, expected_total);
+                let ctx = NodeSet::singleton(doc.tree.len(), root);
+                assert_eq!(
+                    sequential,
+                    reference.image(&doc.tree, &ctx),
+                    "`{q}` on {id} diverges from the product reference"
+                );
+                expected_total += sequential.count() as u64;
             }
-            let stats = service.shutdown();
-            assert_eq!(stats.submitted, QUERIES.len() as u64);
-            assert_eq!(stats.completed, QUERIES.len() as u64);
-            assert_eq!(stats.rejected, 0);
+            assert_eq!(answer.total_matches, expected_total);
         }
+        let stats = service.shutdown();
+        assert_eq!(stats.submitted, QUERIES.len() as u64);
+        assert_eq!(stats.completed, QUERIES.len() as u64);
+        assert_eq!(stats.rejected, 0);
     }
 }
 

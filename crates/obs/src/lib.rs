@@ -200,12 +200,6 @@ counters! {
     /// Instructions in compiled VM programs (compile-time size metric,
     /// the VM analogue of `CompiledNfaStates`).
     CompiledVmInstrs => "compiled_vm_instrs",
-    /// Axis images evaluated in the **push** direction (iterate the
-    /// frontier, insert successors) by the frontier kernels.
-    FrontierPushSteps => "frontier_push_steps",
-    /// Axis images evaluated in the **pull** direction (scan candidate
-    /// ids, probe predecessors against the frontier).
-    FrontierPullSteps => "frontier_pull_steps",
     /// Sparse↔dense switches between consecutive rounds of a VM `Star`
     /// closure (hysteresis band crossings).
     FrontierSwitches => "frontier_switches",

@@ -6,19 +6,17 @@
 //! allocator only when a document is larger than anything the thread has
 //! evaluated before.
 //!
-//! `Star` closures run in **hybrid rounds**, one loop for every thread
-//! count. While the frontier is small it is a vector of node ids and the
-//! loop body runs on id vectors (*sparse rounds*, O(frontier) each),
-//! testing bits against the hoisted dense test registers and finding new
-//! nodes by test-and-set in the dense accumulator. A sparse round that
+//! `Star` closures run in **hybrid rounds**. While the frontier is small
+//! it is a vector of node ids and the loop body runs on id vectors
+//! (*sparse rounds*, O(frontier) each), testing bits against the hoisted
+//! dense test registers and finding new nodes by test-and-set in the
+//! dense accumulator. A sparse round that
 //! would hold more than [`dense_threshold`] ids in one register is
 //! abandoned and rerun on the dense registers (*dense rounds*, O(n/64)
-//! words each, parallel above one thread); a dense round that finds
-//! fewer than [`sparse_threshold`] new nodes hands a sparse frontier
-//! back. These are the same switching points the `twx-frontier` image
-//! kernels use. A deep tree needs one round per level, so sparse rounds
-//! are what keep a descendant closure linear in the tree instead of
-//! O(height·n/64).
+//! words each); a dense round that finds fewer than [`sparse_threshold`]
+//! new nodes hands a sparse frontier back. A deep tree needs one round
+//! per level, so sparse rounds are what keep a descendant closure linear
+//! in the tree instead of O(height·n/64).
 //!
 //! Dispatch counters are accumulated in a local `Stats` and flushed to
 //! the thread-local obs slots once per top-level evaluation, keeping the
@@ -28,8 +26,25 @@
 use crate::{Instr, Program, Reg};
 use twx_obs::{self as obs, Counter};
 use twx_regxpath::ast::Axis;
-use twx_xtree::frontier::{dense_threshold, sparse_threshold};
 use twx_xtree::{NodeId, NodeSet, Tree};
+
+/// Cardinality above which a closure frontier is held as a dense bitmap
+/// rather than an id vector. At `universe / 64` ids, a pass over the ids
+/// costs about as many steps as a pass over the bitmap's `universe / 64`
+/// words, so below it the id form is the cheaper one to iterate.
+#[inline]
+pub fn dense_threshold(universe: usize) -> usize {
+    universe / 64
+}
+
+/// Cardinality below which a dense frontier goes back to ids. Kept
+/// strictly under [`dense_threshold`] so the two switches have a
+/// hysteresis band: a frontier whose size wanders inside
+/// `[universe/128, universe/64]` keeps whatever representation it has.
+#[inline]
+pub fn sparse_threshold(universe: usize) -> usize {
+    universe / 128
+}
 
 /// A pool of recycled `NodeSet` registers and sparse-round id files.
 #[derive(Default)]
@@ -119,55 +134,19 @@ impl Stats {
     }
 }
 
-/// Evaluation options: how many scoped worker threads one evaluation
-/// may use. Above 1, the dense `AxisImage` and `FilterJoin` instructions
-/// dispatch to the `twx-frontier` parallel kernels, which still collapse
-/// to inline execution below their work grains. Sparse closure rounds
-/// run on the calling thread at every thread count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EvalOpts {
-    /// Upper bound on scoped worker threads per evaluation.
-    pub threads: usize,
-}
-
-impl Default for EvalOpts {
-    fn default() -> Self {
-        EvalOpts { threads: 1 }
-    }
-}
-
-impl EvalOpts {
-    /// Options for an explicit thread count (0 is clamped to 1).
-    pub fn with_threads(threads: usize) -> EvalOpts {
-        EvalOpts {
-            threads: threads.max(1),
-        }
-    }
-}
-
 /// Runs a path program: the image of `ctx` under the compiled expression.
 pub fn eval_image(t: &Tree, prog: &Program, ctx: &NodeSet) -> NodeSet {
-    eval_image_opts(t, prog, ctx, EvalOpts::default())
-}
-
-/// [`eval_image`] with explicit [`EvalOpts`].
-pub fn eval_image_opts(t: &Tree, prog: &Program, ctx: &NodeSet, opts: EvalOpts) -> NodeSet {
     assert_eq!(ctx.universe(), t.len(), "context set universe mismatch");
     let mut stats = Stats::default();
-    let out = ARENA.with(|a| run(prog, t, Some(ctx), &mut a.borrow_mut(), &mut stats, opts));
+    let out = ARENA.with(|a| run(prog, t, Some(ctx), &mut a.borrow_mut(), &mut stats));
     stats.flush();
     out
 }
 
 /// Runs a node-expression program: the set of nodes where `φ` holds.
 pub fn eval_node_set(t: &Tree, prog: &Program) -> NodeSet {
-    eval_node_set_opts(t, prog, EvalOpts::default())
-}
-
-/// [`eval_node_set`] with explicit [`EvalOpts`].
-pub fn eval_node_set_opts(t: &Tree, prog: &Program, opts: EvalOpts) -> NodeSet {
     let mut stats = Stats::default();
-    let out = ARENA.with(|a| run(prog, t, None, &mut a.borrow_mut(), &mut stats, opts));
+    let out = ARENA.with(|a| run(prog, t, None, &mut a.borrow_mut(), &mut stats));
     stats.flush();
     out
 }
@@ -178,16 +157,14 @@ fn run(
     ctx: Option<&NodeSet>,
     arena: &mut Arena,
     stats: &mut Stats,
-    opts: EvalOpts,
 ) -> NodeSet {
     let mut regs = arena.file(prog.n_regs as usize, t.len(), stats);
-    exec_block(prog, 0, t, ctx, &mut regs, arena, stats, opts);
+    exec_block(prog, 0, t, ctx, &mut regs, arena, stats);
     let out = std::mem::replace(&mut regs[prog.out as usize], NodeSet::empty(0));
     arena.put_back(regs);
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn exec_block(
     prog: &Program,
     block: usize,
@@ -196,7 +173,6 @@ fn exec_block(
     regs: &mut [NodeSet],
     arena: &mut Arena,
     stats: &mut Stats,
-    opts: EvalOpts,
 ) {
     let n = t.len();
     for instr in &prog.blocks[block] {
@@ -240,19 +216,11 @@ fn exec_block(
             Instr::Complement { dst } => regs[dst as usize].complement(),
             Instr::AxisImage { dst, src, axis } => {
                 let (d, s) = pair_mut(regs, dst, src);
-                if opts.threads > 1 {
-                    twx_frontier::axis_image_into(t, step_of(axis), s, d, opts.threads);
-                } else {
-                    axis_image(t, axis, s, d);
-                }
+                axis_image(t, axis, s, d);
             }
             Instr::FilterJoin { dst, test } => {
                 let (d, s) = pair_mut(regs, dst, test);
-                if opts.threads > 1 {
-                    twx_frontier::par_intersect(d, s, opts.threads);
-                } else {
-                    d.intersect_with(s);
-                }
+                d.intersect_with(s);
             }
             Instr::Star {
                 dst,
@@ -268,7 +236,7 @@ fn exec_block(
                     step: step as usize,
                     body: body as usize,
                 };
-                closure(prog, star, t, ctx, regs, arena, stats, opts);
+                closure(prog, star, t, ctx, regs, arena, stats);
             }
             Instr::Within { dst, sub } => {
                 let nested = &prog.subs[sub as usize];
@@ -277,7 +245,7 @@ fn exec_block(
                 for v in t.nodes() {
                     obs::incr(Counter::SubtreeExtractions);
                     let subtree = t.subtree(v);
-                    let set = run(nested, &subtree, None, arena, stats, opts);
+                    let set = run(nested, &subtree, None, arena, stats);
                     if set.contains(subtree.root()) {
                         d.insert(v);
                     }
@@ -305,7 +273,6 @@ struct StarRegs {
 /// so the accounting is the same whichever representation runs. After the
 /// loop only `dst` is defined: the frontier, step and body scratch
 /// registers are dead.
-#[allow(clippy::too_many_arguments)]
 fn closure(
     prog: &Program,
     r: StarRegs,
@@ -314,7 +281,6 @@ fn closure(
     regs: &mut [NodeSet],
     arena: &mut Arena,
     stats: &mut Stats,
-    opts: EvalOpts,
 ) {
     let n = t.len();
     let sparse_ok = prog.sparse_body(r.body);
@@ -354,7 +320,7 @@ fn closure(
             arena.sparse.extend(sparse.take());
             stats.switches += 1;
         }
-        exec_block(prog, r.body, t, ctx, regs, arena, stats, opts);
+        exec_block(prog, r.body, t, ctx, regs, arena, stats);
         let (acc, step) = pair_mut(regs, r.dst, r.step);
         live = acc.absorb(step);
         if sparse_ok && live > 0 && live < dense_min {
@@ -504,17 +470,6 @@ fn axis_image_ids(
     true
 }
 
-/// Maps a query axis onto the tree-substrate step the frontier kernels
-/// speak (`twx-xtree` cannot depend on the query AST).
-fn step_of(axis: Axis) -> twx_frontier::Step {
-    match axis {
-        Axis::Down => twx_frontier::Step::Down,
-        Axis::Up => twx_frontier::Step::Up,
-        Axis::Left => twx_frontier::Step::Left,
-        Axis::Right => twx_frontier::Step::Right,
-    }
-}
-
 /// `dst ← { u : ∃ v ∈ src, v -axis→ u }`, overwriting `dst`.
 fn axis_image(t: &Tree, axis: Axis, src: &NodeSet, dst: &mut NodeSet) {
     dst.reset(t.len());
@@ -571,8 +526,10 @@ mod tests {
     use crate::compile::{compile_node, compile_path};
     use twx_regxpath::parser::{parse_rnode, parse_rpath};
     use twx_regxpath::{eval_image as product_image, eval_node};
+    use twx_xtree::generate::{random_tree, Shape};
     use twx_xtree::parse::parse_sexp;
-    use twx_xtree::NodeId;
+    use twx_xtree::rng::{Rng, SplitMix64};
+    use twx_xtree::BitMatrix;
 
     #[test]
     fn vm_agrees_with_product_on_basics() {
@@ -619,27 +576,76 @@ mod tests {
         }
     }
 
+    /// `down` and `right` as explicit relations, built from parent and
+    /// sibling pointers; `up` and `left` are their converses.
+    fn step_matrix(t: &Tree, axis: Axis) -> BitMatrix {
+        let mut m = BitMatrix::empty(t.len());
+        for u in t.nodes() {
+            let pred = match axis {
+                Axis::Down | Axis::Up => t.parent(u),
+                Axis::Right | Axis::Left => t.prev_sibling(u),
+            };
+            if let Some(v) = pred {
+                m.set(v, u);
+            }
+        }
+        match axis {
+            Axis::Down | Axis::Right => m,
+            Axis::Up | Axis::Left => m.transpose(),
+        }
+    }
+
     #[test]
-    fn parallel_eval_matches_sequential() {
-        let doc = parse_sexp("(a (b d e (a b)) (c f (b (c d) e)))").unwrap();
-        let t = &doc.tree;
-        let mut ab = doc.alphabet.clone();
-        for q in [
-            "down*",
-            "(up | down)*",
-            "down*[b]/right*",
-            "(down[b] | down/down)*",
-        ] {
-            let prog = compile_path(&parse_rpath(q, &mut ab).unwrap());
-            for v in t.nodes() {
-                let ctx = NodeSet::singleton(t.len(), v);
-                let seq = eval_image(t, &prog, &ctx);
-                for threads in [2, 4, 8] {
-                    assert_eq!(
-                        eval_image_opts(t, &prog, &ctx, EvalOpts::with_threads(threads)),
-                        seq,
-                        "query {q} from {v:?} at {threads} threads"
-                    );
+    fn dense_and_sparse_images_match_step_relations_500_cases() {
+        const SHAPES: [Shape; 5] = [
+            Shape::Recursive,
+            Shape::Deep(2),
+            Shape::Bounded(3),
+            Shape::Wide,
+            Shape::DocumentLike,
+        ];
+        // one node short of, exactly at, and one node past one and two words
+        const SIZES: [usize; 6] = [63, 64, 65, 127, 128, 129];
+        let mut rng = SplitMix64::seed_from_u64(0xBEEF);
+        for case in 0..500 {
+            let t = random_tree(SHAPES[case % 5], SIZES[case % 6], 2, &mut rng);
+            let n = t.len();
+            let keep = rng.next_u64() % 65;
+            let src = NodeSet::from_iter(n, t.nodes().filter(|_| rng.next_u64() % 64 < keep));
+            let ids = src.to_vec();
+            let mut mark = NodeSet::empty(n);
+            for axis in [Axis::Down, Axis::Up, Axis::Left, Axis::Right] {
+                let want = step_matrix(&t, axis).image(&src);
+                let mut dense = NodeSet::full(n);
+                axis_image(&t, axis, &src, &mut dense);
+                assert_eq!(dense, want, "case {case}: dense {axis:?}");
+                let mut sparse = vec![NodeId(0)];
+                assert!(axis_image_ids(&t, axis, &ids, &mut sparse, &mut mark, n));
+                assert_eq!(
+                    sparse.len(),
+                    want.count(),
+                    "case {case}: {axis:?} duplicates"
+                );
+                assert_eq!(
+                    NodeSet::from_iter(n, sparse),
+                    want,
+                    "case {case}: sparse {axis:?}"
+                );
+                assert!(mark.is_empty(), "case {case}: {axis:?} left marks set");
+                if axis == Axis::Down && !want.is_empty() {
+                    // `down` stops as soon as it holds one id past `limit`
+                    let limit = want.count() - 1;
+                    let mut out = Vec::new();
+                    assert!(!axis_image_ids(&t, axis, &ids, &mut out, &mut mark, limit));
+                    assert_eq!(out.len(), limit + 1, "case {case}: down overran its limit");
+                    assert!(axis_image_ids(
+                        &t,
+                        axis,
+                        &ids,
+                        &mut out,
+                        &mut mark,
+                        limit + 1
+                    ));
                 }
             }
         }

@@ -45,7 +45,7 @@ pub mod compile;
 pub mod interp;
 
 pub use compile::{compile_node, compile_path};
-pub use interp::{eval_image, eval_image_opts, eval_node_set, eval_node_set_opts, Arena, EvalOpts};
+pub use interp::{eval_image, eval_node_set, Arena};
 
 use twx_regxpath::ast::Axis;
 use twx_xtree::Label;

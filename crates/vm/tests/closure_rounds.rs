@@ -23,8 +23,8 @@
 use twx_obs::{self as obs, Counter};
 use twx_regxpath::eval_naive::eval_rel_naive;
 use twx_regxpath::parser::parse_rpath;
+use twx_vm::interp::{dense_threshold, sparse_threshold};
 use twx_vm::{compile_path, eval_image};
-use twx_xtree::frontier::{dense_threshold, sparse_threshold};
 use twx_xtree::generate::{random_document_in, Shape};
 use twx_xtree::rng::{Rng, SplitMix64};
 use twx_xtree::{BitMatrix, Catalog, Document, NodeId, NodeSet};

@@ -29,10 +29,7 @@
 //!   enumerator of all trees of a given size ([`generate`]), driven by the
 //!   dependency-free deterministic PRNG in [`rng`];
 //! * dense [`NodeSet`] bitsets and [`BitMatrix`] binary relations used by
-//!   every evaluator in the workspace ([`nodeset`]);
-//! * the sparse/dense frontier switching thresholds and the per-chunk
-//!   push/pull step-image primitives behind the frontier-parallel
-//!   evaluator ([`frontier`]).
+//!   every evaluator in the workspace ([`nodeset`]).
 
 pub mod alphabet;
 pub mod bp;
@@ -41,7 +38,6 @@ pub mod catalog;
 pub mod cursor;
 pub mod edit;
 pub mod fcns;
-pub mod frontier;
 pub mod generate;
 pub mod nodeset;
 pub mod parse;
@@ -59,6 +55,5 @@ pub use catalog::Catalog;
 pub use cursor::Cursor;
 pub use edit::{apply_edit, DocVersion, Edit, EditError, EditReceipt, Span, VersionedDocument};
 pub use fcns::BinTree;
-pub use frontier::Step;
 pub use nodeset::{BitMatrix, NodeSet};
 pub use tree::{Document, NodeId, Tree};

@@ -81,22 +81,6 @@ impl NodeSet {
         self.bits.copy_from_slice(&other.bits);
     }
 
-    /// Read-only view of the backing words (64 ids per word, LSB-first).
-    /// The frontier kernels chunk the id space on word boundaries, so
-    /// parallel workers can scan disjoint slices of one set.
-    #[inline]
-    pub fn as_words(&self) -> &[u64] {
-        &self.bits
-    }
-
-    /// Mutable view of the backing words. Callers must never set a bit at
-    /// or beyond the universe; the frontier pull kernels hand each worker
-    /// a word-aligned sub-slice so their writes are disjoint.
-    #[inline]
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.bits
-    }
-
     /// Sets every bit of the universe in place (the `⊤` load).
     pub fn set_full(&mut self) {
         for w in &mut self.bits {

@@ -466,9 +466,6 @@ pub struct Prepared {
     /// The shared eval-latency series (resolved once at prepare time so
     /// the eval hot path never touches the registry).
     eval_hist: Arc<AtomicHistogram>,
-    /// Worker-thread bound inherited from the engine's `parallelism`
-    /// knob.
-    threads: usize,
 }
 
 impl Prepared {
@@ -483,12 +480,7 @@ impl Prepared {
         let ctx_set = NodeSet::singleton(t.len(), ctx);
         let _stage = obs::trace::stage("eval");
         let clock = obs::Clock::start();
-        let result = twx_vm::eval_image_opts(
-            t,
-            &self.plan,
-            &ctx_set,
-            twx_vm::EvalOpts::with_threads(self.threads),
-        );
+        let result = twx_vm::eval_image(t, &self.plan, &ctx_set);
         let nanos = clock.elapsed_nanos();
         obs::add(Counter::EvalNanos, nanos);
         self.eval_hist.record(nanos);
@@ -632,12 +624,6 @@ impl Prepared {
     pub fn text(&self) -> &str {
         &self.text
     }
-
-    /// The per-evaluation worker-thread bound this plan was prepared
-    /// with (1 = fully sequential).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
 }
 
 /// The query engine: a shared, concurrent plan cache of VM programs.
@@ -646,25 +632,6 @@ impl Prepared {
 #[derive(Clone, Debug)]
 pub struct Engine {
     cache: Arc<PlanCache>,
-    /// Upper bound on scoped worker threads one evaluation may use.
-    /// Defaults to `TWX_EVAL_THREADS` (read once per process) or 1;
-    /// request-level parallelism (`query_batch`, the service worker
-    /// pool) multiplies on top of this per-query bound.
-    parallelism: usize,
-}
-
-/// The process-wide default for [`Engine::parallelism`]: the
-/// `TWX_EVAL_THREADS` environment variable, read once, clamped to at
-/// least 1. Unset or unparsable means sequential evaluation.
-fn default_parallelism() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("TWX_EVAL_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1)
-            .max(1)
-    })
 }
 
 impl Default for Engine {
@@ -683,24 +650,14 @@ impl Engine {
     pub fn with_cache_capacity(capacity: usize) -> Engine {
         Engine {
             cache: Arc::new(PlanCache::new(capacity)),
-            parallelism: default_parallelism(),
         }
     }
 
-    /// Sets the per-evaluation worker-thread bound (0 is clamped to 1).
-    /// Above 1 the VM splits its dense axis images (including those of
-    /// dense closure rounds) and filter joins across scoped workers;
-    /// sparse closure rounds stay on the calling thread. Answers are
-    /// identical at any setting — the `parallel` conformance route and
-    /// `tests/parallel.rs` hold that line.
-    pub fn with_parallelism(mut self, threads: usize) -> Engine {
-        self.parallelism = threads.max(1);
+    /// Returns the engine unchanged: evaluation is single-threaded.
+    #[doc(hidden)]
+    #[deprecated(note = "evaluation is single-threaded; kept for perfbench/src/stack.rs")]
+    pub fn with_parallelism(self, _threads: usize) -> Engine {
         self
-    }
-
-    /// The per-evaluation worker-thread bound.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// Runs the full compile pipeline against the document's (immutable)
@@ -758,7 +715,6 @@ impl Engine {
             path,
             plan,
             eval_hist: eval_histogram(),
-            threads: self.parallelism,
         }
     }
 
@@ -1160,24 +1116,19 @@ mod tests {
     fn query_traced_matches_untraced_and_names_stages() {
         let d = doc();
         let root = d.tree.root();
-        for threads in [1, 2] {
-            let engine = Engine::new().with_parallelism(threads);
-            let plain = engine.query(&d, "down*[c]", root).unwrap();
-            let (traced, tree) = engine.query_traced(&d, "down*[c]", root).unwrap();
-            assert_eq!(
-                plain, traced,
-                "{threads} threads: tracing perturbed the answer"
-            );
-            #[cfg(feature = "obs")]
-            {
-                let tree = tree.expect("trace collected when obs is on");
-                assert_ne!(tree.trace_id.0, 0);
-                let names: Vec<&str> = tree.root.children.iter().map(|c| c.name.as_str()).collect();
-                assert_eq!(names, ["parse", "simplify", "plan_cache", "eval"]);
-            }
-            #[cfg(not(feature = "obs"))]
-            assert!(tree.is_none());
+        let engine = Engine::new();
+        let plain = engine.query(&d, "down*[c]", root).unwrap();
+        let (traced, tree) = engine.query_traced(&d, "down*[c]", root).unwrap();
+        assert_eq!(plain, traced, "tracing perturbed the answer");
+        #[cfg(feature = "obs")]
+        {
+            let tree = tree.expect("trace collected when obs is on");
+            assert_ne!(tree.trace_id.0, 0);
+            let names: Vec<&str> = tree.root.children.iter().map(|c| c.name.as_str()).collect();
+            assert_eq!(names, ["parse", "simplify", "plan_cache", "eval"]);
         }
+        #[cfg(not(feature = "obs"))]
+        assert!(tree.is_none());
     }
 
     #[cfg(feature = "obs")]

@@ -3,8 +3,7 @@
 //! shrunk) by `twx-fuzz`, plus handcrafted tricky cases — must evaluate
 //! identically on every route: the naive oracle, the pipeline-off raw
 //! product, the three reference translations of the engine's simplified
-//! AST, the VM cold, hot and frontier-parallel, and the sharded query
-//! service.
+//! AST, the VM cold and hot, and the sharded query service.
 //!
 //! When `twx-fuzz` finds a divergence it appends the shrunk repro here
 //! (via `--corpus`), so once a bug is caught it is replayed forever.
