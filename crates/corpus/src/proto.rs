@@ -15,7 +15,9 @@
 //! Queries are validated **read-only** against the corpus alphabet
 //! before submission: `prepare_in` would intern unknown labels into the
 //! shared catalog, and a network client must not be able to grow the
-//! server's label space — it gets a typed `engine` error instead.
+//! server's label space — it gets a typed `engine` error instead. A text
+//! the engine has already prepared skips that parse: it resolved
+//! against the catalog once, so it mentions no unknown label.
 
 use crate::service::{CorpusAnswer, QueryService, ServiceError, ServiceStats};
 use crate::store::{Corpus, DocId};
@@ -316,8 +318,12 @@ impl ProtoHandler {
         let Some(q) = get_str(req, "query") else {
             return err_line("protocol", "query op needs a `query` string");
         };
-        if let Err(e) = parse_rpath_resolved(q, &self.alphabet) {
-            return err_line("engine", &e.to_string());
+        // a text the engine already prepared resolved against this
+        // catalog, so it cannot intern; only new texts need the check
+        if !self.service.has_prepared(q) {
+            if let Err(e) = parse_rpath_resolved(q, &self.alphabet) {
+                return err_line("engine", &e.to_string());
+            }
         }
         let timeout = get_u64(req, "timeout_ms").map(Duration::from_millis);
         let outcome = if get_bool(req, "trace") {
@@ -395,5 +401,48 @@ impl twx_netio::Handler for ProtoHandler {
             .field("max_conns", max_conns as u64)
             .render()
             .into_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServiceConfig;
+    use treewalk::Engine;
+    use twx_netio::Handler;
+    use twx_xtree::parse::parse_xml_catalog;
+    use twx_xtree::Catalog;
+
+    fn reply(handler: &ProtoHandler, request: &str) -> String {
+        String::from_utf8(handler.handle(request.as_bytes()).payload).unwrap()
+    }
+
+    /// Unknown labels are refused before submission and never interned,
+    /// however often they are sent; a repeat of a served text is a
+    /// text-map hit.
+    #[test]
+    fn unknown_labels_never_grow_the_catalog() {
+        let catalog = Arc::new(Catalog::from_names(["a", "b"]));
+        let mut builder = Corpus::builder(Arc::clone(&catalog), 1);
+        builder.add_document(parse_xml_catalog("<a><b/><b/></a>", &catalog).unwrap());
+        let service = QueryService::new(
+            Arc::new(builder.build()),
+            Engine::new(),
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let handler = ProtoHandler::new(service, Arc::new(NetStats::default()), 1);
+        for _ in 0..2 {
+            let r = reply(&handler, r#"{"op":"query","query":"down[ghost]"}"#);
+            assert!(r.contains(r#""error":"engine""#), "{r}");
+            let r = reply(&handler, r#"{"op":"query","query":"down[b]"}"#);
+            assert!(r.contains(r#""matches":2"#), "{r}");
+        }
+        assert_eq!(catalog.len(), 2);
+        let stats = handler.service().cache_stats();
+        assert_eq!((stats.prepare_hits, stats.prepare_misses), (1, 1));
+        handler.finish();
     }
 }

@@ -5,9 +5,9 @@
 //! # Lifecycle of a request
 //!
 //! 1. [`QueryService::submit`] compiles the query once through
-//!    [`Engine::prepare_in`] against the corpus catalog — the plan cache
-//!    makes repeat queries a lookup — and fans the `Arc<Prepared>` plan
-//!    into one work item per shard.
+//!    [`Engine::prepare_in`] against the corpus catalog — the plan
+//!    cache's text map makes a repeat query text a lookup — and fans
+//!    the `Arc<Prepared>` plan into one work item per shard.
 //! 2. **Admission** is all-or-nothing and non-blocking: if the bounded
 //!    queue cannot take the whole fan-out, the request is rejected with
 //!    [`ServiceError::Overloaded`] (counted as `corpus_rejected`) rather
@@ -633,6 +633,12 @@ impl QueryService {
             queue_capacity: self.queue.capacity(),
             workers: self.workers.len(),
         }
+    }
+
+    /// Whether `query` was already prepared against the corpus catalog
+    /// (see [`Engine::has_prepared`]): a probe that interns nothing.
+    pub fn has_prepared(&self, query: &str) -> bool {
+        self.engine.has_prepared(self.corpus.catalog(), query)
     }
 
     /// Plan-cache statistics of the engine the service compiles through.

@@ -303,8 +303,14 @@ fn traced_queries_match_untraced_and_span_the_request() {
         // offsets share the request clock: no shard starts after the end
         assert!(shard.start_ns <= tree.root.dur_ns);
     }
-    // the compile side names the pipeline stages
+    // the plain run prepared this text, so the traced prepare is a
+    // text hit: nothing is parsed, simplified or compiled
     let prepare = &tree.root.children[0];
+    assert!(prepare.children.is_empty(), "{:?}", prepare.children);
+    assert_eq!(prepare.counters.get(Counter::PrepareCacheHits), 1);
+    // a text the engine has not seen names every pipeline stage
+    let cold = service.query_traced("down*[c]").unwrap();
+    let prepare = &cold.trace.expect("traced").root.children[0];
     let stage_names: Vec<&str> = prepare.children.iter().map(|c| c.name.as_str()).collect();
     assert_eq!(stage_names, ["parse", "simplify", "plan_cache"]);
     service.shutdown();

@@ -124,6 +124,14 @@ counters! {
     PlanCacheMisses => "plan_cache_misses",
     /// Plans evicted from the engine plan cache (FIFO, capacity bound).
     PlanCacheEvictions => "plan_cache_evictions",
+    /// `prepare_in` calls answered by the plan cache's text map: the
+    /// `(catalog, query text)` pair was prepared before, so parse,
+    /// simplify and unsat-pruning were all skipped. Each also counts as
+    /// a plan-cache hit.
+    PrepareCacheHits => "prepare_cache_hits",
+    /// `prepare_in` calls whose text was not in the text map and ran
+    /// the full pipeline.
+    PrepareCacheMisses => "prepare_cache_misses",
     /// Fixpoint passes performed by the mandatory `simplify_rpath` /
     /// `simplify_rnode` pipeline stage.
     SimplifyPasses => "simplify_passes",
@@ -134,6 +142,10 @@ counters! {
     /// the tree-automaton decision procedure and replaced with `⊥`
     /// during the mandatory simplify stage.
     SimplifyUnsatPruned => "simplify_unsat_pruned",
+    /// Downward-fragment filters the unsat-pruning pass left unchecked
+    /// because the decision procedure's automaton outgrew its rule
+    /// budget (skipping is always sound).
+    SimplifyPruneSkipped => "simplify_prune_skipped",
     /// Corpus query requests submitted to a `QueryService`.
     CorpusRequests => "corpus_requests",
     /// Corpus requests rejected by admission control (`Overloaded`).

@@ -2,11 +2,13 @@
 //!
 //! [`Engine`] compiles Regular XPath(W) queries through a staged pipeline
 //! — parse → simplify → plan-cache lookup → VM compile — and evaluates
-//! the resulting [`twx_vm::Program`]. The paper's three equivalent
-//! constructions (the NFA-product evaluator, the nested tree walking
-//! automaton, and the FO(MTC) model checker) are not serving options:
-//! they are the reference translations the conformance harness checks
-//! the VM against, reachable from any [`Prepared::path`].
+//! the resulting [`twx_vm::Program`]. Against a shared [`Catalog`], a
+//! query text prepared before skips the pipeline: the plan cache also
+//! maps `(catalog, text)` to its simplified AST and program. The paper's
+//! three equivalent constructions (the NFA-product evaluator, the nested
+//! tree walking automaton, and the FO(MTC) model checker) are not
+//! serving options: they are the reference translations the conformance
+//! harness checks the VM against, reachable from any [`Prepared::path`].
 //!
 //! Compilation is decoupled from documents: queries resolve against a
 //! document's alphabet (or a shared, append-only
@@ -79,16 +81,22 @@ impl From<ResolveError> for EngineError {
 /// Point-in-time statistics of an engine's plan cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Prepares answered without compiling: a text-map hit or a
+    /// plan-map hit.
     pub hits: u64,
     /// Lookups that had to compile.
     pub misses: u64,
-    /// Entries displaced by the FIFO capacity bound.
+    /// Plans displaced by the FIFO capacity bound.
     pub evictions: u64,
     /// Plans currently resident.
     pub entries: usize,
-    /// Maximum resident plans before eviction.
+    /// Maximum resident plans (and, separately, texts) before eviction.
     pub capacity: usize,
+    /// [`Engine::prepare_in`] calls answered from the text map (also
+    /// counted in `hits`).
+    pub prepare_hits: u64,
+    /// [`Engine::prepare_in`] calls that ran the full pipeline.
+    pub prepare_misses: u64,
 }
 
 /// Default number of resident plans before FIFO eviction.
@@ -96,29 +104,53 @@ const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// A concurrent, bounded plan cache.
 ///
-/// Keyed by the **simplified query AST**. Labels inside
-/// the AST are numeric ids, so a cached plan is exact for any document
-/// whose alphabet assigns those ids the same way — i.e. documents sharing
-/// a [`Catalog`]. Artifacts are `Arc`-shared: an eviction never
-/// invalidates a live [`Prepared`].
+/// Two maps, each holding at most `capacity` entries with FIFO eviction:
+///
+/// - the **plan map**, keyed by the simplified query AST. Labels inside
+///   the AST are numeric ids, so a cached plan is exact for any document
+///   whose alphabet assigns those ids the same way — i.e. documents
+///   sharing a [`Catalog`];
+/// - the **text map**, keyed by `(catalog id, query text)` and holding
+///   what [`Engine::prepare_in`] derived from that text: the simplified
+///   AST and its plan. A catalog is append-only, so a text that resolved
+///   against it once resolves to the same label ids forever, and parse,
+///   simplify and unsat-pruning are pure functions of the text from then
+///   on. Only successful prepares are inserted.
+///
+/// Artifacts are `Arc`-shared: an eviction never invalidates a live
+/// [`Prepared`].
 ///
 /// Global hit/miss/eviction totals are kept in atomics (visible via
 /// [`Engine::cache_stats`]); the same events also tick the thread-local
-/// `plan_cache_*` observability counters so they appear in per-query
-/// EXPLAIN profiles.
+/// `plan_cache_*` and `prepare_cache_*` observability counters so they
+/// appear in per-query EXPLAIN profiles.
 #[derive(Debug)]
 struct PlanCache {
     inner: RwLock<CacheInner>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    prepare_hits: AtomicU64,
+    prepare_misses: AtomicU64,
 }
 
 #[derive(Debug)]
 struct CacheInner {
     map: HashMap<RPath, Arc<Program>>,
     order: VecDeque<RPath>,
+    /// catalog id → query text → prepared parts; nested so a probe
+    /// borrows the text instead of allocating a key.
+    texts: HashMap<u64, HashMap<String, TextEntry>>,
+    text_order: VecDeque<(u64, String)>,
     capacity: usize,
+}
+
+/// What one query text prepared to against one catalog.
+#[derive(Debug)]
+struct TextEntry {
+    raw_size: usize,
+    path: RPath,
+    plan: Arc<Program>,
 }
 
 impl PlanCache {
@@ -127,11 +159,81 @@ impl PlanCache {
             inner: RwLock::new(CacheInner {
                 map: HashMap::new(),
                 order: VecDeque::new(),
+                texts: HashMap::new(),
+                text_order: VecDeque::new(),
                 capacity: capacity.max(1),
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            prepare_hits: AtomicU64::new(0),
+            prepare_misses: AtomicU64::new(0),
+        }
+    }
+
+    /// Runs `f` on the text map's entry for `query` against `catalog`,
+    /// if there is one. Counts nothing.
+    fn with_text<R>(
+        &self,
+        catalog: u64,
+        query: &str,
+        f: impl FnOnce(&TextEntry) -> R,
+    ) -> Option<R> {
+        let inner = self.inner.read().expect("plan cache poisoned");
+        inner.texts.get(&catalog).and_then(|m| m.get(query)).map(f)
+    }
+
+    /// The text-map lookup of [`Engine::prepare_in`]: a hit counts as a
+    /// plan-cache hit too, since nothing is compiled.
+    fn get_text(&self, catalog: u64, query: &str) -> Option<Prepared> {
+        let hit = self.with_text(catalog, query, |e| Prepared {
+            text: query.to_string(),
+            raw_size: e.raw_size,
+            path: e.path.clone(),
+            plan: Arc::clone(&e.plan),
+            eval_hist: eval_histogram(),
+        });
+        if hit.is_some() {
+            self.prepare_hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            obs::incr(Counter::PrepareCacheHits);
+            obs::incr(Counter::PlanCacheHits);
+            obs::incr(Counter::MemoHits);
+        } else {
+            self.prepare_misses.fetch_add(1, Ordering::Relaxed);
+            obs::incr(Counter::PrepareCacheMisses);
+        }
+        hit
+    }
+
+    /// Records what `catalog` + `p.text()` prepared to. Concurrent
+    /// prepares of one text derive identical parts; the first insert
+    /// wins.
+    fn insert_text(&self, catalog: u64, p: &Prepared) {
+        let mut inner = self.inner.write().expect("plan cache poisoned");
+        let texts = inner.texts.entry(catalog).or_default();
+        if texts.contains_key(&p.text) {
+            return;
+        }
+        texts.insert(
+            p.text.clone(),
+            TextEntry {
+                raw_size: p.raw_size,
+                path: p.path.clone(),
+                plan: Arc::clone(&p.plan),
+            },
+        );
+        inner.text_order.push_back((catalog, p.text.clone()));
+        while inner.text_order.len() > inner.capacity {
+            let Some((id, text)) = inner.text_order.pop_front() else {
+                break;
+            };
+            if let Some(texts) = inner.texts.get_mut(&id) {
+                texts.remove(&text);
+                if texts.is_empty() {
+                    inner.texts.remove(&id);
+                }
+            }
         }
     }
 
@@ -184,6 +286,8 @@ impl PlanCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: inner.map.len(),
             capacity: inner.capacity,
+            prepare_hits: self.prepare_hits.load(Ordering::Relaxed),
+            prepare_misses: self.prepare_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -610,6 +714,11 @@ impl Prepared {
         }
     }
 
+    /// The compiled VM program, shared with the plan cache.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.plan
+    }
+
     /// The simplified query AST the plan was compiled from.
     pub fn path(&self) -> &RPath {
         &self.path
@@ -677,12 +786,29 @@ impl Engine {
     /// Like [`prepare`](Engine::prepare), but resolves the query against a
     /// shared [`Catalog`], **interning** any new labels into it. The plan
     /// then serves every document built from the catalog.
+    ///
+    /// A text this engine already prepared against `catalog` is answered
+    /// from the plan cache's text map without parsing, simplifying or
+    /// pruning it again (a traced hit has no `parse`/`simplify` stages).
     pub fn prepare_in(&self, catalog: &Catalog, query: &str) -> Result<Prepared, EngineError> {
+        if let Some(hit) = self.cache.get_text(catalog.id(), query) {
+            return Ok(hit);
+        }
         let path = {
             let _stage = obs::trace::stage("parse");
             parse_rpath_catalog(query, catalog).map_err(EngineError::Syntax)?
         };
-        Ok(self.finish_pipeline(query, path))
+        let prepared = self.finish_pipeline(query, path);
+        self.cache.insert_text(catalog.id(), &prepared);
+        Ok(prepared)
+    }
+
+    /// Whether [`prepare_in`](Engine::prepare_in) of `query` against
+    /// `catalog` would be a text-map hit. A pure probe: it parses
+    /// nothing, interns nothing and counts nothing. `true` implies every
+    /// label of `query` is already in `catalog`.
+    pub fn has_prepared(&self, catalog: &Catalog, query: &str) -> bool {
+        self.cache.with_text(catalog.id(), query, |_| ()).is_some()
     }
 
     /// The shared simplify + cache + compile tail of the pipeline.
@@ -692,7 +818,9 @@ impl Engine {
     /// pass of [`crate::prune`], which replaces statically-unsatisfiable
     /// downward filters with `⊥` (counted as `simplify_unsat_pruned`).
     /// The plan cache is keyed on the fully-simplified AST, so a pruned
-    /// query and its hand-simplified form share one plan.
+    /// query and its hand-simplified form share one plan. The pruning
+    /// pass's decision procedure runs under a work budget, so a miss
+    /// stays cheap even for formulas whose automaton would be huge.
     fn finish_pipeline(&self, query: &str, raw: RPath) -> Prepared {
         let raw_size = raw.size();
         let path = {

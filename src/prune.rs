@@ -36,6 +36,14 @@ use twx_xtree::Label;
 /// optimisation, never a requirement.)
 const MAX_SIMPLE_SIZE: usize = 48;
 const MAX_LABELS: u32 = 8;
+/// Work cap: automaton rules the decision procedure may build for one
+/// formula. The syntactic caps above still admit formulas whose
+/// automaton runs to millions of rules (`<down[a]> or <down[b]> or
+/// <down[c]>` builds 6.56 M and takes seconds); past this budget the
+/// check gives up and the filter is kept, ticking
+/// `simplify_prune_skipped`. The largest automaton a known prune needs
+/// (`down[W(<down[b]> and leaf)]`) has 2,738 rules.
+const MAX_RULES: usize = 4096;
 
 /// Replaces statically-unsatisfiable downward filter/test subexpressions
 /// of `p` with `⊥`, bottom-up. Returns the rewritten path; when nothing
@@ -83,7 +91,7 @@ fn prune_inside(f: &RNode) -> RNode {
 }
 
 /// Exact unsatisfiability for downward-fragment formulas; `false` for
-/// anything outside the fragment or beyond the cost caps.
+/// anything outside the fragment or beyond the cost caps and budget.
 fn is_unsat_downward(f: &RNode) -> bool {
     let mut labels = BTreeMap::new();
     let Some(converted) = to_downward_node(f, &mut labels) else {
@@ -99,8 +107,13 @@ fn is_unsat_downward(f: &RNode) -> bool {
     if simple_size(&simple) > MAX_SIMPLE_SIZE {
         return false;
     }
-    let auto = compile_simple(&simple, n_labels, AcceptAt::SomeNode);
-    auto.tree_emptiness_witness().is_none()
+    match compile_simple(&simple, n_labels, AcceptAt::SomeNode, Some(MAX_RULES)) {
+        Some(auto) => auto.tree_emptiness_witness().is_none(),
+        None => {
+            obs::incr(Counter::SimplifyPruneSkipped);
+            false
+        }
+    }
 }
 
 fn simple_size(s: &Simple) -> usize {

@@ -245,3 +245,112 @@ fn explain_shows_simplify_and_cache_counters() {
     assert_eq!(second.counters.get(obs::Counter::PlanCacheHits), 1);
     assert_eq!(second.counters.get(obs::Counter::PlanCacheMisses), 0);
 }
+
+/// The text map stays exact while the catalog grows: a catalog is
+/// append-only, so a repeat of the same text after new labels arrive is
+/// a text hit sharing the first plan, and it answers documents built
+/// after the growth exactly as a cold engine does.
+#[test]
+fn text_hits_survive_catalog_growth() {
+    let catalog = Catalog::from_names(["a", "b"]);
+    let engine = Engine::new();
+    let query = "down*[<down[b]>]";
+    let first = engine.prepare_in(&catalog, query).unwrap();
+    for name in ["c", "d", "e"] {
+        catalog.intern(name);
+    }
+    let again = engine.prepare_in(&catalog, query).unwrap();
+    assert!(Arc::ptr_eq(first.program(), again.program()));
+    assert_eq!(first.path(), again.path());
+    let stats = engine.cache_stats();
+    assert_eq!((stats.prepare_hits, stats.prepare_misses), (1, 1));
+    assert_eq!((stats.hits, stats.misses), (1, 1));
+
+    let cold = Engine::new().prepare_in(&catalog, query).unwrap();
+    let mut rng = SplitMix64::seed_from_u64(17);
+    for shape in [Shape::DocumentLike, Shape::Wide, Shape::Recursive] {
+        let doc = random_document_in(shape, 80, &catalog, &mut rng);
+        let root = doc.tree.root();
+        assert_eq!(first.eval(&doc, root), again.eval(&doc, root));
+        assert_eq!(again.eval(&doc, root), cold.eval(&doc, root));
+    }
+}
+
+/// Catalogs that number the same names differently never share a text
+/// entry: `down[a]` is `down[#0]` in one and `down[#1]` in the other.
+/// Sharing stays at the plan map, keyed by label ids: `down[b]` in the
+/// second catalog is the first catalog's `down[a]` plan.
+#[test]
+fn text_entries_are_per_catalog() {
+    let ab = Catalog::from_names(["a", "b"]);
+    let ba = Catalog::from_names(["b", "a"]);
+    let doc_ab = parse_xml_catalog("<a><a/><b/><b/><b/></a>", &ab).unwrap();
+    let doc_ba = parse_xml_catalog("<a><a/><b/><b/><b/></a>", &ba).unwrap();
+    let engine = Engine::new();
+    for _ in 0..2 {
+        for (catalog, doc) in [(&ab, &doc_ab), (&ba, &doc_ba)] {
+            let root = doc.tree.root();
+            let a = engine.prepare_in(catalog, "down[a]").unwrap();
+            let b = engine.prepare_in(catalog, "down[b]").unwrap();
+            assert_eq!(a.eval(doc, root).count(), 1, "one a-child");
+            assert_eq!(b.eval(doc, root).count(), 3, "three b-children");
+        }
+    }
+    let stats = engine.cache_stats();
+    assert_eq!(stats.prepare_misses, 4, "one text miss per (catalog, text)");
+    assert_eq!(stats.prepare_hits, 4);
+    assert_eq!(stats.entries, 2, "two plans: down[#0] and down[#1]");
+    let a_in_ab = engine.prepare_in(&ab, "down[a]").unwrap();
+    let b_in_ba = engine.prepare_in(&ba, "down[b]").unwrap();
+    assert!(Arc::ptr_eq(a_in_ab.program(), b_in_ba.program()));
+}
+
+/// Failed prepares are never cached: a syntax error leaves the plan map
+/// alone, is not a text hit the second time, and reports the same error.
+#[test]
+fn syntax_errors_are_not_cached() {
+    let catalog = Catalog::from_names(["a"]);
+    let engine = Engine::new();
+    engine.prepare_in(&catalog, "down*[a]").unwrap();
+    let before = engine.cache_stats();
+    for _ in 0..2 {
+        assert!(matches!(
+            engine.prepare_in(&catalog, "down[["),
+            Err(EngineError::Syntax(_))
+        ));
+        assert!(!engine.has_prepared(&catalog, "down[["));
+    }
+    let after = engine.cache_stats();
+    assert_eq!(after.entries, before.entries);
+    assert_eq!(after.prepare_hits, before.prepare_hits);
+    assert!(engine.has_prepared(&catalog, "down*[a]"));
+}
+
+/// A query under both syntactic caps of the unsat-pruning pass whose
+/// decision automaton runs to millions of rules: the work budget makes
+/// a cold prepare skip that check (it took seconds without the budget),
+/// and the unpruned plan still answers like the product reference on the
+/// raw parse.
+#[test]
+fn prune_budget_bounds_a_cold_prepare() {
+    let query = "down*[<down[a]> or <down[b]> or <down[c]>]";
+    let catalog = Catalog::from_names(["a", "b", "c", "d"]);
+    let before = obs::snapshot();
+    let prepared = Engine::new().prepare_in(&catalog, query).unwrap();
+    if obs::ENABLED {
+        let delta = obs::delta_since(&before);
+        assert!(delta.get(obs::Counter::SimplifyPruneSkipped) >= 1);
+    }
+    let raw = twx_regxpath::parser::parse_rpath_catalog(query, &catalog).unwrap();
+    let mut rng = SplitMix64::seed_from_u64(31);
+    for shape in [Shape::DocumentLike, Shape::Wide, Shape::Recursive] {
+        let doc = random_document_in(shape, 120, &catalog, &mut rng);
+        let t = &doc.tree;
+        let ctx = NodeSet::singleton(t.len(), t.root());
+        assert_eq!(
+            prepared.eval(&doc, t.root()),
+            reference_image(RouteId::Product, &raw, t, &ctx),
+            "{shape:?}"
+        );
+    }
+}
