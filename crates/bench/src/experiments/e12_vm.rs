@@ -16,16 +16,21 @@
 //!
 //! A second, separate measurement times the same pool hot on one
 //! 20k-node `Shape::Deep(2)` document, where a closure needs one
-//! round per tree level: the case the VM's sparse closure rounds exist
-//! for. A third, ungated one times the E1 and E2 query mixes hot on each
-//! E1/E2 workload shape, so a query family where the VM loses to the
-//! product evaluator shows up by name.
+//! round per tree level in the product evaluator: the case the VM's
+//! closure kernels exist for. A third, ungated one times the E1 and E2
+//! query mixes hot on each E1/E2 workload shape, so a query family where
+//! the VM loses to the product evaluator shows up by name. A fourth
+//! times bare-axis closures (`down*`, `up*`, `(down | right)*`,
+//! `(left | up)*`) from the root and from the deepest leaf of 20k- and
+//! 50k-node `Shape::Deep(2)` documents: selective contexts, where the
+//! answer or the walk is a small part of a large tree.
 //!
 //! [`run_full`] also returns the structured summary that the harness
 //! exports as the top-level `e12` field of `BENCH_HARNESS.json`; CI
 //! asserts the hot geometric-mean speedup stays ≥ 2× on the pool, and
-//! that the VM is at least as fast as product (`e12.deep` geomean ≥ 1×)
-//! on the deep document.
+//! that the VM is at least as fast as product on the deep document
+//! (`e12.deep` geomean ≥ 1×) and on every selective-context row
+//! (`e12.selective` minimum ≥ 1×).
 
 use crate::experiments::{e1_core_eval, e2_regxpath_eval, time_us};
 use crate::table::{fmt_micros, Table};
@@ -35,7 +40,7 @@ use twx_obs::json::Json;
 use twx_regxpath::eval::Compiled;
 use twx_xtree::generate::{random_document_in, Shape};
 use twx_xtree::rng::SplitMix64;
-use twx_xtree::{Catalog, Document, NodeSet};
+use twx_xtree::{Catalog, Document, NodeId, NodeSet};
 
 /// The deep/starred pool: descendant closures, zigzags, long sequences,
 /// chained stars, filtered closures, and a nested `Some` filter.
@@ -54,11 +59,18 @@ struct Sizes {
     serves: usize,
     deep_serves: usize,
     family_size: usize,
+    selective_serves: usize,
 }
 
 /// Node count of the deep document (the same in quick and full runs:
 /// depth is what the measurement is about).
 const DEEP_SIZE: usize = 20_000;
+
+/// Bare-axis closures timed from selective contexts.
+const SELECTIVE: [&str; 4] = ["down*", "up*", "(down | right)*", "(left | up)*"];
+
+/// Node counts of the selective-context documents.
+const SELECTIVE_SIZES: [usize; 2] = [20_000, 50_000];
 
 /// Hot evals per E1/E2 query-mix row: the `within` row on the 10k-node
 /// deep document costs over a second per product eval.
@@ -72,6 +84,7 @@ fn sizes(cfg: &RunCfg) -> Sizes {
             serves: 16,
             deep_serves: 4,
             family_size: 1_000,
+            selective_serves: 8,
         }
     } else {
         Sizes {
@@ -80,6 +93,7 @@ fn sizes(cfg: &RunCfg) -> Sizes {
             serves: 64,
             deep_serves: 16,
             family_size: 10_000,
+            selective_serves: 32,
         }
     }
 }
@@ -107,21 +121,23 @@ fn root_ctx(d: &Document) -> NodeSet {
     NodeSet::singleton(d.tree.len(), d.tree.root())
 }
 
-/// Times `serves` evaluations from the root, round-robin over `docs`.
-fn time_serves(
-    docs: &[Document],
-    serves: usize,
-    mut eval: impl FnMut(&Document) -> NodeSet,
-) -> f64 {
+fn root(d: &Document) -> NodeId {
+    d.tree.root()
+}
+
+/// Times `serves` evaluations, round-robin over `docs`; `eval` gets the
+/// document's index.
+fn time_serves(docs: &[Document], serves: usize, mut eval: impl FnMut(usize) -> NodeSet) -> f64 {
     let (_, us) = time_us(|| {
         for i in 0..serves {
-            std::hint::black_box(eval(&docs[i % docs.len()]));
+            std::hint::black_box(eval(i % docs.len()));
         }
     });
     us
 }
 
-/// Hot product and VM time over `serves` evals of `q`, after checking
+/// Hot product and VM time over `serves` evals of `q` from the node
+/// `ctx` picks in each document (picked before timing), after checking
 /// the two agree on every document. Both sides compile once, outside
 /// the timed region: the VM through `vm`'s plan cache, the product from
 /// the simplified AST that VM program was compiled from. A short
@@ -133,18 +149,23 @@ fn hot_pair(
     docs: &[Document],
     q: &str,
     serves: usize,
+    ctx: fn(&Document) -> NodeId,
 ) -> (f64, f64) {
     let prepared = vm.prepare_in(catalog, q).expect("pool query compiles");
     let product = Compiled::new(prepared.path());
-    for (i, d) in docs.iter().enumerate() {
+    let ctxs: Vec<NodeId> = docs.iter().map(ctx).collect();
+    let product_eval = |i: usize| {
+        let d = &docs[i];
+        product.image(&d.tree, &NodeSet::singleton(d.tree.len(), ctxs[i]))
+    };
+    let vm_eval = |i: usize| prepared.eval(&docs[i], ctxs[i]);
+    for i in 0..docs.len() {
         assert_eq!(
-            product.image(&d.tree, &root_ctx(d)),
-            prepared.eval(d, d.tree.root()),
+            product_eval(i),
+            vm_eval(i),
             "{q}: product and vm disagree on doc {i}"
         );
     }
-    let product_eval = |d: &Document| product.image(&d.tree, &root_ctx(d));
-    let vm_eval = |d: &Document| prepared.eval(d, d.tree.root());
     time_serves(docs, serves.min(4), product_eval);
     time_serves(docs, serves.min(4), vm_eval);
     (
@@ -174,17 +195,19 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
         .map(|&(name, q)| {
             // hot first: it cross-checks the answers before any timing
             // is trusted — E12 doubles as a correctness check
-            let (product_hot_us, vm_hot_us) = hot_pair(&vm, &catalog, &docs, q, sz.serves);
+            let (product_hot_us, vm_hot_us) = hot_pair(&vm, &catalog, &docs, q, sz.serves, root);
             QueryResult {
                 name,
                 query: q,
                 // parse and simplify through the warm engine (a plan-cache
                 // hit skips only the VM compile), then compile the product
-                product_cold_us: time_serves(&docs, sz.serves, |d| {
+                product_cold_us: time_serves(&docs, sz.serves, |i| {
+                    let d = &docs[i];
                     let p = vm.prepare_in(&catalog, q).expect("pool query compiles");
                     Compiled::new(p.path()).image(&d.tree, &root_ctx(d))
                 }),
-                vm_cold_us: time_serves(&docs, sz.serves, |d| {
+                vm_cold_us: time_serves(&docs, sz.serves, |i| {
+                    let d = &docs[i];
                     let p = Engine::new()
                         .prepare_in(&catalog, q)
                         .expect("pool query compiles");
@@ -198,6 +221,7 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
 
     let deep = run_deep(cfg, &catalog, sz.deep_serves);
     let families = run_families(cfg, &catalog, sz.family_size, FAMILY_SERVES);
+    let selective = run_selective(cfg, &catalog, sz.selective_serves);
 
     let geo_cold = geomean(results.iter().map(QueryResult::speedup_cold));
     let geo_hot = geomean(results.iter().map(QueryResult::speedup_hot));
@@ -276,6 +300,18 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
         "families geomean",
         families.geomean_speedup_hot,
     ));
+    for r in &selective.rows {
+        table.row(hot_row(
+            format!("selective:{}:{}:{}", r.doc_size, r.from, r.query),
+            selective.serves,
+            r.product_hot_us,
+            r.vm_hot_us,
+        ));
+    }
+    table.row(geomean_row(
+        "selective geomean",
+        selective.geomean_speedup_hot,
+    ));
     let vm_stats = vm.cache_stats();
     table.note(format!(
         "{} docs x {} nodes (DocumentLike); cold = every serve parses, simplifies and compiles; \
@@ -295,6 +331,11 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
         "workload:e1|e2:query rows: the E1/E2 query mixes, hot, one thread, one {}-node doc per \
          E1/E2 workload shape (reported, not gated)",
         sz.family_size
+    ));
+    table.note(format!(
+        "selective:size:from:query rows: bare-axis closures from the root and from the deepest \
+         leaf of one Shape::Deep(2) doc per size, hot, one thread (min speedup {:.1}x)",
+        selective.min_speedup_hot
     ));
     table.note(
         "product = Compiled::new on the engine's simplified AST; answers cross-checked product vs \
@@ -342,6 +383,19 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
                 .field("speedup_hot", f.product_hot_us / f.vm_hot_us.max(0.01))
         })
         .collect();
+    let selective_rows: Vec<Json> = selective
+        .rows
+        .iter()
+        .map(|r| {
+            Json::obj()
+                .field("doc_size", r.doc_size)
+                .field("from", r.from)
+                .field("query", r.query)
+                .field("product_hot_us", r.product_hot_us)
+                .field("vm_hot_us", r.vm_hot_us)
+                .field("speedup_hot", r.speedup_hot())
+        })
+        .collect();
     let summary = Json::obj()
         .field("pool", QUERIES.len())
         .field("docs", sz.n_docs)
@@ -368,6 +422,14 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
                 .field("geomean_speedup_hot", families.geomean_speedup_hot),
         )
         .field(
+            "selective",
+            Json::obj()
+                .field("serves", selective.serves)
+                .field("queries", Json::Arr(selective_rows))
+                .field("geomean_speedup_hot", selective.geomean_speedup_hot)
+                .field("min_speedup_hot", selective.min_speedup_hot),
+        )
+        .field(
             "vm_plan_cache",
             Json::obj()
                 .field("hits", vm_stats.hits)
@@ -392,17 +454,12 @@ fn run_deep(cfg: &RunCfg, catalog: &Catalog, serves: usize) -> Deep {
     let mut rng = SplitMix64::seed_from_u64(cfg.seed_for(12) ^ 0xDEE9);
     let doc = random_document_in(Shape::Deep(2), DEEP_SIZE, catalog, &mut rng);
     let docs = std::slice::from_ref(&doc);
-    let height = doc
-        .tree
-        .nodes()
-        .map(|v| doc.tree.depth(v))
-        .max()
-        .unwrap_or(0);
+    let height = doc.tree.depths().into_iter().max().unwrap_or(0);
     let vm = Engine::new();
     let rows: Vec<(&'static str, f64, f64)> = QUERIES
         .iter()
         .map(|&(name, q)| {
-            let (product_us, vm_us) = hot_pair(&vm, catalog, docs, q, serves);
+            let (product_us, vm_us) = hot_pair(&vm, catalog, docs, q, serves, root);
             (name, product_us, vm_us)
         })
         .collect();
@@ -450,8 +507,14 @@ fn run_families(cfg: &RunCfg, catalog: &Catalog, size: usize, serves: usize) -> 
     for wl in Workload::ALL {
         let doc = random_document_in(wl.shape(), size, catalog, &mut rng);
         for &(family, name, query) in &mix {
-            let (product_hot_us, vm_hot_us) =
-                hot_pair(&vm, catalog, std::slice::from_ref(&doc), query, serves);
+            let (product_hot_us, vm_hot_us) = hot_pair(
+                &vm,
+                catalog,
+                std::slice::from_ref(&doc),
+                query,
+                serves,
+                root,
+            );
             rows.push(FamilyRow {
                 workload: wl.name(),
                 family,
@@ -470,6 +533,77 @@ fn run_families(cfg: &RunCfg, catalog: &Catalog, size: usize, serves: usize) -> 
         serves,
         rows,
         geomean_speedup_hot,
+    }
+}
+
+/// One selective-context row: a bare-axis closure from one node.
+struct SelectiveRow {
+    doc_size: usize,
+    from: &'static str,
+    query: &'static str,
+    product_hot_us: f64,
+    vm_hot_us: f64,
+}
+
+impl SelectiveRow {
+    fn speedup_hot(&self) -> f64 {
+        self.product_hot_us / self.vm_hot_us.max(0.01)
+    }
+}
+
+/// The selective-context measurement (the minimum speedup is gated).
+struct Selective {
+    serves: usize,
+    rows: Vec<SelectiveRow>,
+    geomean_speedup_hot: f64,
+    min_speedup_hot: f64,
+}
+
+/// The deepest node of `d` (the first one in document order).
+fn deepest_leaf(d: &Document) -> NodeId {
+    let depths = d.tree.depths();
+    d.tree
+        .nodes()
+        .max_by_key(|&v| (depths[v.index()], std::cmp::Reverse(v)))
+        .expect("trees are non-empty")
+}
+
+/// Times [`SELECTIVE`] hot from the root and from the deepest leaf of
+/// one `Shape::Deep(2)` document per [`SELECTIVE_SIZES`] entry, after
+/// checking the two agree.
+fn run_selective(cfg: &RunCfg, catalog: &Catalog, serves: usize) -> Selective {
+    let mut rng = SplitMix64::seed_from_u64(cfg.seed_for(12) ^ 0x5E1E);
+    let vm = Engine::new();
+    let mut rows = Vec::new();
+    for size in SELECTIVE_SIZES {
+        let doc = random_document_in(Shape::Deep(2), size, catalog, &mut rng);
+        let docs = std::slice::from_ref(&doc);
+        for (from, ctx) in [
+            ("root", root as fn(&Document) -> NodeId),
+            ("leaf", deepest_leaf),
+        ] {
+            for query in SELECTIVE {
+                let (product_hot_us, vm_hot_us) = hot_pair(&vm, catalog, docs, query, serves, ctx);
+                rows.push(SelectiveRow {
+                    doc_size: size,
+                    from,
+                    query,
+                    product_hot_us,
+                    vm_hot_us,
+                });
+            }
+        }
+    }
+    let geomean_speedup_hot = geomean(rows.iter().map(SelectiveRow::speedup_hot));
+    let min_speedup_hot = rows
+        .iter()
+        .map(SelectiveRow::speedup_hot)
+        .fold(f64::INFINITY, f64::min);
+    Selective {
+        serves,
+        rows,
+        geomean_speedup_hot,
+        min_speedup_hot,
     }
 }
 
@@ -493,10 +627,12 @@ mod tests {
     fn quick_run_produces_table_and_summary() {
         let (t, summary) = run_full(&RunCfg::quick());
         let families = 3 * (e1_core_eval::QUERY_MIX.len() + e2_regxpath_eval::QUERY_MIX.len());
+        let selective = SELECTIVE_SIZES.len() * 2 * SELECTIVE.len();
         assert_eq!(
             t.rows.len(),
-            2 * (QUERIES.len() + 1) + families + 1,
-            "pool rows + geomean row, the same for the deep doc, then the query mixes + geomean"
+            2 * (QUERIES.len() + 1) + families + 1 + selective + 1,
+            "pool rows + geomean row, the same for the deep doc, then the query mixes + geomean, \
+             then the selective rows + geomean"
         );
         match field(&summary, "geomean_speedup_hot") {
             Json::Num(s) => assert!(*s > 0.0, "geomean must be positive, got {s}"),
@@ -505,6 +641,10 @@ mod tests {
         match field(field(&summary, "deep"), "geomean_speedup_hot") {
             Json::Num(s) => assert!(*s > 0.0, "deep geomean must be positive, got {s}"),
             other => panic!("deep geomean_speedup_hot is {other:?}"),
+        }
+        match field(field(&summary, "selective"), "min_speedup_hot") {
+            Json::Num(s) => assert!(*s > 0.0, "selective speedups must be positive, got {s}"),
+            other => panic!("selective min_speedup_hot is {other:?}"),
         }
         match field(field(&summary, "vm_plan_cache"), "misses") {
             Json::Int(m) => assert_eq!(*m as usize, QUERIES.len(), "one compile per pool query"),

@@ -38,6 +38,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use treewalk::{Engine, EngineError, Prepared, ResultCache, ResultCacheStats};
+use twx_obs::metrics::Gauge;
 use twx_obs::{self as obs, AtomicHistogram, Counter, Counters, SpanNode, SpanTree, TraceId};
 use twx_xtree::edit::{DocVersion, Edit};
 use twx_xtree::NodeSet;
@@ -273,6 +274,7 @@ pub struct Ticket {
     prepare_span: Option<SpanNode>,
     traced: bool,
     hist_request: Arc<AtomicHistogram>,
+    axis_closures: Arc<Gauge>,
     slowlog: Arc<SlowLog>,
 }
 
@@ -320,6 +322,8 @@ impl Ticket {
             .latency_nanos_total
             .fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
         self.hist_request.record(latency.as_nanos() as u64);
+        self.axis_closures
+            .add(counters.get(Counter::VmAxisClosures));
         // a commit after our pin makes this answer stale (still exact
         // for the snapshot it was computed against)
         let stale = self.corpus.seq() > self.snapshot_seq;
@@ -387,6 +391,9 @@ struct LatencySeries {
     queue_wait: Arc<AtomicHistogram>,
     /// Per-shard evaluation time, recorded by workers.
     shard_eval: Arc<AtomicHistogram>,
+    /// The VM's axis-closure kernel runs (`vm_axis_closures`), summed by
+    /// the waiter over each request's merged counters.
+    axis_closures: Arc<Gauge>,
 }
 
 impl LatencySeries {
@@ -396,6 +403,7 @@ impl LatencySeries {
             request: reg.histogram("twx_service_request_ns", &[]),
             queue_wait: reg.histogram("twx_service_queue_wait_ns", &[]),
             shard_eval: reg.histogram("twx_service_shard_eval_ns", &[]),
+            axis_closures: reg.gauge("twx_vm_axis_closures_total", &[]),
         }
     }
 }
@@ -541,6 +549,7 @@ impl QueryService {
                 prepare_span,
                 traced,
                 hist_request: Arc::clone(&self.series.request),
+                axis_closures: Arc::clone(&self.series.axis_closures),
                 slowlog: Arc::clone(&self.slowlog),
             }),
             Err((PushError::Full { queued, capacity }, _)) => {

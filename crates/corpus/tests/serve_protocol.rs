@@ -348,6 +348,17 @@ fn observability_ops(framing: Framing) {
     assert!(r.contains("twx_serve_conns_open"), "{r}");
     assert!(r.contains("twx_serve_frames_rx_total"), "{r}");
     assert!(r.contains("twx_serve_backpressure_stalls_total"), "{r}");
+    // `down*[b]` ran the VM's axis-closure kernel, once per document
+    let runs = r
+        .match_indices("twx_vm_axis_closures_total ")
+        .find_map(|(at, key)| {
+            let digits: String = r[at + key.len()..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse::<u64>().ok()
+        });
+    assert!(runs.is_some_and(|n| n > 0), "{r}");
 
     // the slow log retains both requests, slowest first, and its trace
     // ids join back to the replies above

@@ -8,6 +8,10 @@
 //!   inverted, every `Seq` flipped — used for `⟨path⟩` (= `pre(path, ⊤)`)
 //!   and exercised by `Filter` in the preimage direction.
 //!
+//! A `Star` whose body is a union of bare axis steps compiles to one
+//! [`Instr::AxisClosure`] (with the axes inverted in the preimage
+//! direction); every other body becomes a loop block run in rounds.
+//!
 //! Node expressions are **hoisted**: `⟦φ⟧` depends only on the tree, never
 //! on loop state, so its computation is always emitted into block 0 (the
 //! main sequence) and `Star` bodies merely [`Instr::FilterJoin`] against the
@@ -23,7 +27,7 @@
 //! iteration, and the body's overwrite would clobber it between
 //! iterations.
 
-use crate::{Instr, Program, Reg};
+use crate::{AxisSet, Instr, Program, Reg};
 use twx_obs::{self as obs, Counter};
 use twx_regxpath::ast::{RNode, RPath};
 
@@ -138,6 +142,10 @@ impl Compiler {
                 self.release_in(block, alt);
             }
             RPath::Star(a) => {
+                if let Some(axes) = axis_union(a) {
+                    self.emit(block, Instr::AxisClosure { dst, src, axes });
+                    return;
+                }
                 let frontier = self.alloc();
                 let step = self.alloc();
                 let body = self.blocks.len() as u16;
@@ -209,6 +217,11 @@ impl Compiler {
                 self.release_in(block, alt);
             }
             RPath::Star(a) => {
+                if let Some(axes) = axis_union(a) {
+                    let axes = axes.inverse();
+                    self.emit(block, Instr::AxisClosure { dst, src, axes });
+                    return;
+                }
                 let frontier = self.alloc();
                 let step = self.alloc();
                 let body = self.blocks.len() as u16;
@@ -293,6 +306,20 @@ impl Compiler {
     }
 }
 
+/// The axes of a `Star` body that is a union of bare axis steps
+/// (`down`, `down | right`, `(left | up) | left`, …), or `None` for any
+/// other body.
+fn axis_union(p: &RPath) -> Option<AxisSet> {
+    match p {
+        RPath::Axis(a) => Some(AxisSet::of([*a])),
+        RPath::Union(a, b) => {
+            let (a, b) = (axis_union(a)?, axis_union(b)?);
+            Some(AxisSet::of(a.iter().chain(b.iter())))
+        }
+        _ => None,
+    }
+}
+
 /// Collects the leaves of a left/right-nested `Seq` chain in order.
 fn flatten_seq<'a>(p: &'a RPath, out: &mut Vec<&'a RPath>) {
     match p {
@@ -327,6 +354,36 @@ mod tests {
         assert!(p.blocks[1]
             .iter()
             .all(|i| !matches!(i, Instr::LoadLabel { .. } | Instr::LoadFull { .. })));
+    }
+
+    #[test]
+    fn bare_axis_stars_compile_to_one_axis_closure() {
+        use twx_regxpath::ast::Axis::{Down, Right, Up};
+        let closures = |q: &str| -> Vec<AxisSet> {
+            let p = compile_path(&path(q));
+            assert_eq!(p.blocks.len(), 1, "{q}: no loop body");
+            p.blocks[0]
+                .iter()
+                .filter_map(|i| match *i {
+                    Instr::AxisClosure { axes, .. } => Some(axes),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(closures("down*"), [AxisSet::of([Down])]);
+        assert_eq!(
+            closures("(down | (right | down))*"),
+            [AxisSet::of([Down, Right])]
+        );
+        // `<…>` is a preimage: the axes are inverted
+        assert_eq!(
+            closures("down*[<(down | left)*[p0]>]"),
+            [AxisSet::of([Down]), AxisSet::of([Up, Right])]
+        );
+        // any other body keeps its loop block
+        for q in ["(down/down)*", "(down[p0] | left)*", "(down | .)*"] {
+            assert_eq!(compile_path(&path(q)).blocks.len(), 2, "{q}");
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! img(A/B, S)      = img(B, img(A, S))        → sequential code
 //! img(A ∪ B, S)    = img(A,S) ∪ img(B,S)      → Union (in place)
 //! img(A*, S)       = least fixpoint ⊇ S       → Star (frontier closure)
+//! img((a|b|…)*, S) = the same, for bare axes  → AxisClosure (one pass)
 //! img(A[φ], S)     = img(A,S) ∩ ⟦φ⟧           → FilterJoin
 //! ```
 //!
@@ -30,12 +31,19 @@
 //!   a thread-local `Arena` and returns it afterwards, so a plan-cache-hot
 //!   `eval_cached` loop performs no allocation at all (registers are
 //!   [`twx_xtree::NodeSet::reset`], keeping their word buffers);
-//! * **hybrid closure rounds** — `Star` iterates `frontier → step` and
-//!   stops when a round finds nothing new. A small frontier runs the
-//!   loop body on node-id vectors (O(frontier) per round, so a closure
-//!   over a deep tree is not O(height·n/64)); a large one runs it on the
-//!   dense registers, where folding `step` into the accumulator and
-//!   counting what was new is one word pass. See [`interp`].
+//! * **closures without rounds where the tree allows it** — the star of
+//!   a union of bare axis steps (`down*`, `(down | right)*`,
+//!   `(left | up)*`, …) is [`Instr::AxisClosure`]: one kernel that adds
+//!   one preorder interval per source when the set contains `down`, and
+//!   otherwise walks parent and sibling links with the accumulator as
+//!   its visited set. A closure over a deep tree then costs O(|S| + n)
+//!   link reads and O(n/64) word writes, not one round per level. Every
+//!   other `Star` body runs **hybrid rounds**: it iterates
+//!   `frontier → step` until a round finds nothing new; a small
+//!   frontier runs the loop body on node-id vectors (O(frontier) per
+//!   round), a large one on the dense registers, where folding `step`
+//!   into the accumulator and counting what was new is one word pass.
+//!   See [`interp`].
 //!
 //! Programs carry a stable FNV-1a [`Program::fingerprint`] over their
 //! instruction encoding, so they drop into the engine's `PlanCache` and
@@ -77,6 +85,9 @@ pub enum Instr {
     Complement { dst: Reg },
     /// `dst ← { u : ∃ v ∈ src, v -axis→ u }` — the one-step tree move.
     AxisImage { dst: Reg, src: Reg, axis: Axis },
+    /// `dst ← src ∪ img((a₁ | … | aₖ)⁺, src)` for the axes in `axes` —
+    /// a closure of bare axis steps, run as one kernel with no rounds.
+    AxisClosure { dst: Reg, src: Reg, axes: AxisSet },
     /// `dst ← dst ∩ test` — the relational filter-join (`A[φ]`, `?φ`).
     /// Semantically an intersect; a distinct opcode because `test` holds a
     /// hoisted, loop-invariant node-expression set.
@@ -211,6 +222,7 @@ impl Instr {
             | Instr::Difference { dst, .. }
             | Instr::Complement { dst }
             | Instr::AxisImage { dst, .. }
+            | Instr::AxisClosure { dst, .. }
             | Instr::FilterJoin { dst, .. }
             | Instr::Star { dst, .. }
             | Instr::Within { dst, .. } => dst,
@@ -249,6 +261,9 @@ impl Instr {
                 ],
             ),
             Instr::Within { dst, sub } => h.op(12, &[dst as u64, sub as u64]),
+            Instr::AxisClosure { dst, src, axes } => {
+                h.op(13, &[dst as u64, src as u64, axes.0 as u64])
+            }
         }
     }
 }
@@ -259,6 +274,41 @@ fn axis_code(a: Axis) -> u64 {
         Axis::Up => 1,
         Axis::Left => 2,
         Axis::Right => 3,
+    }
+}
+
+/// A set of the four basic axes, one bit each (bit `axis_code(a)`).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct AxisSet(u8);
+
+impl AxisSet {
+    const ALL: [Axis; 4] = [Axis::Down, Axis::Up, Axis::Left, Axis::Right];
+
+    /// The set holding exactly `axes`.
+    pub fn of(axes: impl IntoIterator<Item = Axis>) -> AxisSet {
+        axes.into_iter()
+            .fold(AxisSet(0), |s, a| AxisSet(s.0 | 1 << axis_code(a)))
+    }
+
+    /// Whether `a` is in the set.
+    pub fn contains(self, a: Axis) -> bool {
+        self.0 & 1 << axis_code(a) != 0
+    }
+
+    /// The set of the inverse axes (`down` ↔ `up`, `left` ↔ `right`).
+    pub fn inverse(self) -> AxisSet {
+        AxisSet::of(self.iter().map(Axis::inverse))
+    }
+
+    /// The axes in the set, in `down, up, left, right` order.
+    pub fn iter(self) -> impl Iterator<Item = Axis> {
+        AxisSet::ALL.into_iter().filter(move |&a| self.contains(a))
+    }
+}
+
+impl std::fmt::Debug for AxisSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -312,7 +362,7 @@ mod tests {
 
     #[test]
     fn program_reports_sizes() {
-        let p = compile_path(&path(&mut Alphabet::default(), "(down | right)*[p0]"));
+        let p = compile_path(&path(&mut Alphabet::default(), "(down/right | up)*[p0]"));
         assert!(p.n_instrs() >= 5);
         assert!(p.n_regs >= 3);
         assert!(p.blocks.len() >= 2, "a star compiles to a loop body block");

@@ -31,7 +31,6 @@ pub struct TreeBuilder {
     last_child: Vec<u32>,
     next_sib: Vec<u32>,
     prev_sib: Vec<u32>,
-    depth: Vec<u32>,
     stack: Vec<u32>,
     done: bool,
 }
@@ -51,7 +50,6 @@ impl TreeBuilder {
             last_child: Vec::with_capacity(n),
             next_sib: Vec::with_capacity(n),
             prev_sib: Vec::with_capacity(n),
-            depth: Vec::with_capacity(n),
             stack: Vec::new(),
             done: false,
         }
@@ -65,11 +63,11 @@ impl TreeBuilder {
     pub fn open(&mut self, label: Label) -> u32 {
         assert!(!self.done, "root already closed");
         let id = self.labels.len() as u32;
-        let (par, dep) = match self.stack.last() {
-            Some(&p) => (p, self.depth[p as usize] + 1),
+        let par = match self.stack.last() {
+            Some(&p) => p,
             None => {
                 assert!(self.labels.is_empty(), "second root opened");
-                (NONE, 0)
+                NONE
             }
         };
         self.labels.push(label);
@@ -77,7 +75,6 @@ impl TreeBuilder {
         self.first_child.push(NONE);
         self.last_child.push(NONE);
         self.next_sib.push(NONE);
-        self.depth.push(dep);
         if par != NONE {
             let prev = self.last_child[par as usize];
             self.prev_sib.push(prev);
@@ -140,7 +137,6 @@ impl TreeBuilder {
             self.last_child,
             self.next_sib,
             self.prev_sib,
-            self.depth,
         )
     }
 }

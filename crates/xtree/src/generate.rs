@@ -128,12 +128,24 @@ pub fn random_document_in<R: Rng>(
 pub fn from_parent_vec(parents: &[u32], labels: &[Label]) -> Tree {
     let n = parents.len();
     assert_eq!(labels.len(), n);
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
+    // children grouped by parent in one flat array (counting sort), so a
+    // large document needs two `u32` columns here, not a `Vec` per node
+    let mut start = vec![0u32; n + 1];
     for (i, &p) in parents.iter().enumerate().skip(1) {
-        let p = p as usize;
-        assert!(p < i, "parent vector not topologically ordered");
-        children[p].push(i as u32);
+        assert!((p as usize) < i, "parent vector not topologically ordered");
+        start[p as usize + 1] += 1;
     }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut children = vec![0u32; n.saturating_sub(1)];
+    let mut next = start.clone();
+    for (i, &p) in parents.iter().enumerate().skip(1) {
+        children[next[p as usize] as usize] = i as u32;
+        next[p as usize] += 1;
+    }
+    // freed before the builder allocates the tree's columns
+    drop(next);
     let mut b = TreeBuilder::with_capacity(n);
     // iterative DFS emitting open/close events
     enum Ev {
@@ -146,7 +158,8 @@ pub fn from_parent_vec(parents: &[u32], labels: &[Label]) -> Tree {
             Ev::Open(v) => {
                 b.open(labels[v as usize]);
                 stack.push(Ev::Close);
-                for &c in children[v as usize].iter().rev() {
+                let (lo, hi) = (start[v as usize] as usize, start[v as usize + 1] as usize);
+                for &c in children[lo..hi].iter().rev() {
                     stack.push(Ev::Open(c));
                 }
             }

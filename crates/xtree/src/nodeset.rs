@@ -89,6 +89,43 @@ impl NodeSet {
         self.trim();
     }
 
+    /// Overwrites this set with `{ i : pred(&items[i]) }` over a universe
+    /// of `items.len()` nodes, keeping the word buffer's allocation. Each
+    /// word is assembled from 64 predicate results without branching on
+    /// them.
+    pub fn assign_where<T>(&mut self, items: &[T], mut pred: impl FnMut(&T) -> bool) {
+        self.reset(items.len());
+        for (w, chunk) in self.bits.iter_mut().zip(items.chunks(WORD)) {
+            *w = chunk
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (i, x)| acc | (pred(x) as u64) << i);
+        }
+    }
+
+    /// Inserts every node with id in `lo..hi`, a word at a time.
+    pub fn insert_range(&mut self, lo: usize, hi: usize) {
+        assert!(
+            lo <= hi && hi <= self.universe,
+            "range outside the universe"
+        );
+        if lo == hi {
+            return;
+        }
+        let (first, last) = (lo / WORD, (hi - 1) / WORD);
+        let head = !0u64 << (lo % WORD);
+        let tail = !0u64 >> (WORD - 1 - (hi - 1) % WORD);
+        if first == last {
+            self.bits[first] |= head & tail;
+        } else {
+            self.bits[first] |= head;
+            for w in &mut self.bits[first + 1..last] {
+                *w = !0;
+            }
+            self.bits[last] |= tail;
+        }
+    }
+
     /// Clears excess bits beyond the universe.
     #[inline]
     fn trim(&mut self) {
@@ -654,6 +691,32 @@ mod tests {
         // copy_from overwrites without reallocating
         a.copy_from(&b);
         assert_eq!(a.to_vec(), vec![nid(64), nid(129)]);
+    }
+
+    #[test]
+    fn ranges_and_predicates_fill_whole_words() {
+        // every range over 0..=3 words, against bit-by-bit insertion
+        for n in [1, 63, 64, 65, 129, 192] {
+            for lo in 0..=n {
+                for hi in lo..=n {
+                    let mut s = NodeSet::from_iter(n, [nid(0)]);
+                    s.insert_range(lo, hi);
+                    let want = NodeSet::from_iter(
+                        n,
+                        (0..n as u32)
+                            .filter(|&i| i == 0 || (lo as u32..hi as u32).contains(&i))
+                            .map(nid),
+                    );
+                    assert_eq!(s, want, "insert_range({lo}, {hi}) over {n}");
+                }
+            }
+            let items: Vec<u32> = (0..n as u32).map(|i| i * 7 % 5).collect();
+            let mut s = NodeSet::full(3 * n);
+            s.assign_where(&items, |&x| x == 2);
+            assert_eq!(s.universe(), n);
+            let want = (0..n as u32).filter(|&i| items[i as usize] == 2).map(nid);
+            assert_eq!(s, NodeSet::from_iter(n, want), "assign_where over {n}");
+        }
     }
 
     #[test]

@@ -27,8 +27,9 @@ pub fn stats(t: &Tree) -> TreeStats {
     let mut leaves = 0;
     let mut max_arity = 0;
     let mut labels_seen = std::collections::HashSet::new();
+    let depths = t.depths();
     for v in t.nodes() {
-        let d = t.depth(v);
+        let d = depths[v.index()];
         max_depth = max_depth.max(d);
         depth_sum += d as u64;
         if t.is_leaf(v) {

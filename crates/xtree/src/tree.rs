@@ -46,7 +46,8 @@ fn opt(raw: u32) -> Option<NodeId> {
 /// * the five link arrays are mutually consistent.
 ///
 /// Links are stored struct-of-arrays for cache locality; all navigation
-/// accessors are O(1).
+/// accessors are O(1). Depths are not stored: [`Tree::depth`] walks the
+/// parent links and [`Tree::depths`] computes them all in one pass.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Tree {
     labels: Vec<Label>,
@@ -55,8 +56,6 @@ pub struct Tree {
     last_child: Vec<u32>,
     next_sib: Vec<u32>,
     prev_sib: Vec<u32>,
-    /// depth[v] = number of edges from the root (root has depth 0).
-    depth: Vec<u32>,
 }
 
 impl Tree {
@@ -69,7 +68,6 @@ impl Tree {
             last_child: vec![NONE],
             next_sib: vec![NONE],
             prev_sib: vec![NONE],
-            depth: vec![0],
         }
     }
 
@@ -80,7 +78,6 @@ impl Tree {
         last_child: Vec<u32>,
         next_sib: Vec<u32>,
         prev_sib: Vec<u32>,
-        depth: Vec<u32>,
     ) -> Self {
         let t = Tree {
             labels,
@@ -89,7 +86,6 @@ impl Tree {
             last_child,
             next_sib,
             prev_sib,
-            depth,
         };
         debug_assert!(t.validate().is_ok(), "inconsistent tree arena");
         t
@@ -117,6 +113,12 @@ impl Tree {
     #[inline]
     pub fn label(&self, v: NodeId) -> Label {
         self.labels[v.index()]
+    }
+
+    /// Every node's label, indexed by node id (document order).
+    #[inline]
+    pub fn labels(&self) -> &[Label] {
+        &self.labels
     }
 
     /// Overwrites the label of `v`. Crate-internal: the only structural
@@ -157,10 +159,25 @@ impl Tree {
         opt(self.prev_sib[v.index()])
     }
 
-    /// Depth of `v` (root has depth 0).
-    #[inline]
+    /// Depth of `v` (root has depth 0) — O(depth), by walking up.
     pub fn depth(&self, v: NodeId) -> u32 {
-        self.depth[v.index()]
+        let mut d = 0;
+        let mut u = v;
+        while let Some(p) = self.parent(u) {
+            d += 1;
+            u = p;
+        }
+        d
+    }
+
+    /// The depth of every node, indexed by node id, in one pass (a
+    /// parent's id is smaller than its children's).
+    pub fn depths(&self) -> Vec<u32> {
+        let mut depth = vec![0u32; self.len()];
+        for i in 1..self.len() {
+            depth[i] = depth[self.parent[i] as usize] + 1;
+        }
+        depth
     }
 
     /// Whether `v` is the root.
@@ -252,8 +269,6 @@ impl Tree {
         let mut last_child = Vec::with_capacity(n);
         let mut next_sib = Vec::with_capacity(n);
         let mut prev_sib = Vec::with_capacity(n);
-        let mut depth = Vec::with_capacity(n);
-        let base_depth = self.depth[v.index()];
         for i in start..end {
             let i = i as usize;
             labels.push(self.labels[i]);
@@ -263,17 +278,8 @@ impl Tree {
             // Siblings of v itself are outside the subtree; remap handles it.
             next_sib.push(remap(self.next_sib[i]));
             prev_sib.push(remap(self.prev_sib[i]));
-            depth.push(self.depth[i] - base_depth);
         }
-        Tree::from_parts(
-            labels,
-            parent,
-            first_child,
-            last_child,
-            next_sib,
-            prev_sib,
-            depth,
-        )
+        Tree::from_parts(labels, parent, first_child, last_child, next_sib, prev_sib)
     }
 
     /// Checks all arena invariants; returns a description of the first
@@ -300,9 +306,6 @@ impl Tree {
                 }
             }
         }
-        if self.depth.len() != n {
-            return Err("depth length mismatch".into());
-        }
         if self.parent[0] != NONE {
             return Err("node 0 is not a root".into());
         }
@@ -312,17 +315,11 @@ impl Tree {
             }
         }
         for v in self.nodes() {
-            let i = v.index();
             // preorder: parent < child, prev_sib < node < next_sib
             if let Some(p) = self.parent(v) {
                 if p.0 >= v.0 {
                     return Err(format!("parent {p:?} >= child {v:?} (not preorder)"));
                 }
-                if self.depth[i] != self.depth[p.index()] + 1 {
-                    return Err(format!("depth[{v:?}] inconsistent"));
-                }
-            } else if self.depth[i] != 0 {
-                return Err("root depth != 0".into());
             }
             if let Some(c) = self.first_child(v) {
                 if self.parent(c) != Some(v) {
@@ -430,6 +427,9 @@ mod tests {
         assert!(t.is_first_sibling(b));
         let d = t.first_child(b).unwrap();
         assert_eq!(t.depth(d), 2);
+        let depths: Vec<u32> = t.nodes().map(|v| t.depth(v)).collect();
+        assert_eq!(t.depths(), depths);
+        assert_eq!(depths, [0, 1, 2, 2, 1]);
         assert!(t.is_ancestor(root, d));
         assert!(t.is_ancestor(b, d));
         assert!(!t.is_ancestor(c, d));

@@ -76,6 +76,10 @@ fn explain_profiles_carry_backend_counters() {
         return;
     }
     assert!(profile.counters.get(Counter::VmInstructions) > 0);
+    // `down*` is one axis-closure kernel run, not closure rounds
+    assert_eq!(profile.counters.get(Counter::VmAxisClosures), 1);
+    assert_eq!(profile.counters.get(Counter::VmClosureIters), 0);
+    assert!(profile.to_text().contains("vm_axis_closures"));
     assert_eq!(profile.counters.get(Counter::MemoMisses), 1);
     assert!(profile.eval_nanos > 0);
     assert!(profile.compile_nanos > 0);
