@@ -220,16 +220,24 @@ impl AtomicHistogram {
     /// Records one value. No-op without the `enabled` feature.
     #[inline(always)]
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Records `v` as `n` observations (a sample standing for `n`
+    /// calls, see [`Sample`](crate::Sample)). No-op without the
+    /// `enabled` feature.
+    #[inline(always)]
+    pub fn record_n(&self, v: u64, n: u64) {
         #[cfg(feature = "enabled")]
         {
-            self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
+            self.buckets[bucket_of(v)].fetch_add(n, Ordering::Relaxed);
+            self.count.fetch_add(n, Ordering::Relaxed);
+            self.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
             self.max.fetch_max(v, Ordering::Relaxed);
         }
         #[cfg(not(feature = "enabled"))]
         {
-            let _ = v;
+            let _ = (v, n);
         }
     }
 
@@ -326,6 +334,19 @@ mod tests {
             owned.record(v);
         }
         assert_eq!(atomic.load(), owned);
+    }
+
+    #[test]
+    fn weighted_records_equal_repeated_ones() {
+        let weighted = AtomicHistogram::new();
+        let repeated = AtomicHistogram::new();
+        for (v, n) in [(3u64, 1u64), (700, 5), (250_000, 64)] {
+            weighted.record_n(v, n);
+            for _ in 0..n {
+                repeated.record(v);
+            }
+        }
+        assert_eq!(weighted.load(), repeated.load());
     }
 
     #[test]

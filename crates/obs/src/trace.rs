@@ -193,6 +193,9 @@ struct Collector {
 thread_local! {
     static ACTIVE: std::cell::RefCell<Option<Collector>> =
         const { std::cell::RefCell::new(None) };
+    /// `ACTIVE.is_some()`, kept in a slot without a destructor so the
+    /// no-trace check in [`stage`] is one load.
+    static TRACING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Starts collecting a trace on this thread, rooted at a span called
@@ -238,6 +241,7 @@ pub fn begin_at(name: &str, id: TraceId, origin: std::time::Instant) -> bool {
                     counters_at_start: crate::snapshot(),
                 }],
             });
+            TRACING.with(|t| t.set(true));
             true
         })
     }
@@ -249,7 +253,7 @@ pub fn begin_at(name: &str, id: TraceId, origin: std::time::Instant) -> bool {
 pub fn active() -> bool {
     #[cfg(feature = "enabled")]
     {
-        ACTIVE.with(|a| a.borrow().is_some())
+        TRACING.with(std::cell::Cell::get)
     }
     #[cfg(not(feature = "enabled"))]
     false
@@ -263,6 +267,7 @@ pub fn take() -> Option<SpanTree> {
     {
         ACTIVE.with(|a| {
             let collector = a.borrow_mut().take()?;
+            TRACING.with(|t| t.set(false));
             let Collector {
                 trace_id,
                 mut stack,
@@ -317,23 +322,7 @@ pub fn attach(node: SpanNode) {
 pub fn stage(name: &'static str) -> StageGuard {
     #[cfg(feature = "enabled")]
     {
-        let armed = ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            let Some(c) = slot.as_mut() else {
-                return false;
-            };
-            let now = Instant::now();
-            c.stack.push(Pending {
-                node: SpanNode {
-                    name: name.to_string(),
-                    start_ns: now.duration_since(c.origin).as_nanos() as u64,
-                    ..SpanNode::default()
-                },
-                started: now,
-                counters_at_start: crate::snapshot(),
-            });
-            true
-        });
+        let armed = TRACING.with(std::cell::Cell::get) && open_stage(name);
         StageGuard { armed }
     }
     #[cfg(not(feature = "enabled"))]
@@ -341,6 +330,28 @@ pub fn stage(name: &'static str) -> StageGuard {
         let _ = name;
         StageGuard {}
     }
+}
+
+#[cfg(feature = "enabled")]
+#[cold]
+fn open_stage(name: &'static str) -> bool {
+    ACTIVE.with(|a| {
+        let mut slot = a.borrow_mut();
+        let Some(c) = slot.as_mut() else {
+            return false;
+        };
+        let now = Instant::now();
+        c.stack.push(Pending {
+            node: SpanNode {
+                name: name.to_string(),
+                start_ns: now.duration_since(c.origin).as_nanos() as u64,
+                ..SpanNode::default()
+            },
+            started: now,
+            counters_at_start: crate::snapshot(),
+        });
+        true
+    })
 }
 
 /// RAII guard for one [`stage`] span.

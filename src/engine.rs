@@ -575,20 +575,29 @@ pub struct Prepared {
 impl Prepared {
     /// Evaluates from a single context node.
     ///
-    /// One elapsed-time measurement feeds three sinks: the thread-local
-    /// `eval_nanos` counter (per-query profiles), the process-wide
-    /// latency histogram (the `metrics` exposition), and —
-    /// when a trace is being collected on this thread — an `eval` span.
+    /// Evaluation time is sampled ([`obs::Sample`]): a thread times one
+    /// eval per interval, and each sample, weighted by the evals it
+    /// stands for, feeds the thread-local `eval_nanos` counter (per-query
+    /// profiles) and the process-wide latency histogram (the `metrics`
+    /// exposition). Evals of 50 µs or more are all timed, shorter ones
+    /// one in up to 64. When a trace is being collected on this thread,
+    /// the eval also gets an `eval` span.
     pub fn eval(&self, doc: &Document, ctx: NodeId) -> NodeSet {
+        let sample = obs::Sample::start();
+        let result = self.run(doc, ctx);
+        if let Some(sample) = sample {
+            let (nanos, weight) = sample.finish();
+            obs::add(Counter::EvalNanos, nanos.saturating_mul(weight));
+            self.eval_hist.record_n(nanos, weight);
+        }
+        result
+    }
+
+    fn run(&self, doc: &Document, ctx: NodeId) -> NodeSet {
         let t = &doc.tree;
         let ctx_set = NodeSet::singleton(t.len(), ctx);
         let _stage = obs::trace::stage("eval");
-        let clock = obs::Clock::start();
-        let result = twx_vm::eval_image(t, &self.plan, &ctx_set);
-        let nanos = clock.elapsed_nanos();
-        obs::add(Counter::EvalNanos, nanos);
-        self.eval_hist.record(nanos);
-        result
+        twx_vm::eval_image(t, &self.plan, &ctx_set)
     }
 
     /// A stable-within-this-process fingerprint of the compiled plan:
@@ -693,7 +702,13 @@ impl Prepared {
     /// zero but artifact sizes are still reported.
     pub fn explain(&self, doc: &Document, ctx: NodeId) -> QueryProfile {
         let before = obs::snapshot();
-        let result = self.eval(doc, ctx);
+        // timed exactly, outside the sampling schedule: the profile
+        // reports this eval's own time
+        let clock = obs::Clock::start();
+        let result = self.run(doc, ctx);
+        let nanos = clock.elapsed_nanos();
+        obs::add(Counter::EvalNanos, nanos);
+        self.eval_hist.record(nanos);
         let counters = obs::delta_since(&before);
         self.profile(doc, &result, counters)
     }
