@@ -4,14 +4,16 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use treewalk::core::{rpath_to_formula, rpath_to_ntwa};
-use treewalk::{fotc, twa, Engine};
+use treewalk::Engine;
+use twx_core::{rpath_to_formula, rpath_to_ntwa};
 use twx_corpus::{Corpus, QueryService, ServiceConfig};
+use twx_fotc::eval_binary;
 use twx_obs::{self as obs, Counter};
 use twx_regxpath::eval::Compiled;
 use twx_regxpath::eval_naive::eval_rel_naive;
 use twx_regxpath::parser::parse_rpath_catalog;
 use twx_regxpath::RPath;
+use twx_twa::eval_image;
 use twx_xtree::serialize::to_sexp;
 use twx_xtree::{Catalog, Document, NodeSet, Tree};
 
@@ -207,8 +209,8 @@ impl Conformer {
 pub fn reference_image(route: RouteId, path: &RPath, t: &Tree, ctx: &NodeSet) -> NodeSet {
     match route {
         RouteId::Product => Compiled::new(path).image(t, ctx),
-        RouteId::Automaton => twa::eval_image(t, &rpath_to_ntwa(path), ctx),
-        RouteId::Logic => fotc::eval_binary(t, &rpath_to_formula(path, 0, 1, 2), 0, 1).image(ctx),
+        RouteId::Automaton => eval_image(t, &rpath_to_ntwa(path), ctx),
+        RouteId::Logic => eval_binary(t, &rpath_to_formula(path, 0, 1, 2), 0, 1).image(ctx),
         other => panic!("{} is not a reference route", other.name()),
     }
 }

@@ -113,11 +113,6 @@ counters! {
     SubtreeExtractions => "subtree_extractions",
     /// `BitMatrix` cells written while materialising binary relations.
     BitMatrixCells => "bitmatrix_cells",
-    /// Compiled-artifact cache hits (e.g. a `Prepared` query reusing its
-    /// compiled VM program).
-    MemoHits => "memo_hits",
-    /// Compiled-artifact cache misses (compilations actually performed).
-    MemoMisses => "memo_misses",
     /// Engine plan-cache lookups that found an already-compiled plan for
     /// the canonical query.
     PlanCacheHits => "plan_cache_hits",
@@ -691,9 +686,9 @@ mod tests {
         a.set(Counter::TwaSteps, 2);
         let mut b = Counters::default();
         b.set(Counter::TwaSteps, 3);
-        b.set(Counter::MemoHits, 1);
+        b.set(Counter::PlanCacheHits, 1);
         a.merge(&b);
         assert_eq!(a.get(Counter::TwaSteps), 5);
-        assert_eq!(a.get(Counter::MemoHits), 1);
+        assert_eq!(a.get(Counter::PlanCacheHits), 1);
     }
 }

@@ -266,7 +266,6 @@ struct JournalState {
     crashed: bool,
 }
 
-#[cfg(feature = "obs")]
 struct Meters {
     journal_bytes: Arc<twx_obs::metrics::Gauge>,
     snapshot_bytes: Arc<twx_obs::metrics::Gauge>,
@@ -274,7 +273,6 @@ struct Meters {
     recovery_ns: Arc<twx_obs::AtomicHistogram>,
 }
 
-#[cfg(feature = "obs")]
 impl Meters {
     fn new() -> Meters {
         let reg = twx_obs::metrics::global();
@@ -293,7 +291,6 @@ pub struct Store {
     cfg: StoreConfig,
     n_shards: u32,
     journal: Mutex<JournalState>,
-    #[cfg(feature = "obs")]
     meters: Meters,
 }
 
@@ -381,7 +378,6 @@ impl Store {
                 pending: 0,
                 crashed: false,
             }),
-            #[cfg(feature = "obs")]
             meters: Meters::new(),
         };
         store.refresh_gauges();
@@ -403,11 +399,6 @@ impl Store {
         self.journal.lock().expect("journal poisoned").len
     }
 
-    /// Journal bytes known durable (≤ [`Store::journal_bytes`]).
-    pub fn durable_journal_bytes(&self) -> u64 {
-        self.journal.lock().expect("journal poisoned").durable_len
-    }
-
     /// Total bytes across current snapshot files.
     pub fn snapshot_bytes(&self) -> u64 {
         let mut total = 0;
@@ -427,8 +418,8 @@ impl Store {
     }
 
     fn refresh_gauges(&self) {
-        #[cfg(feature = "obs")]
-        {
+        // the directory scan feeds only the gauge, a no-op when disabled
+        if twx_obs::ENABLED {
             self.meters.journal_bytes.set(self.journal_bytes());
             self.meters.snapshot_bytes.set(self.snapshot_bytes());
         }
@@ -452,7 +443,6 @@ impl Store {
         if j.pending >= self.cfg.fsync_every.max(1) {
             self.sync_locked(&mut j)?;
         }
-        #[cfg(feature = "obs")]
         self.meters.journal_bytes.set(j.len);
         Ok(())
     }
@@ -473,12 +463,10 @@ impl Store {
             // deliberately stays behind, so a simulated crash loses the tail
             return Ok(());
         }
-        #[cfg(feature = "obs")]
         let t0 = Instant::now();
         j.file
             .sync_data()
             .map_err(io_err("fsync journal", &self.dir.join("journal.log")))?;
-        #[cfg(feature = "obs")]
         self.meters.fsync_ns.record(t0.elapsed().as_nanos() as u64);
         j.durable_len = j.len;
         Ok(())
@@ -686,7 +674,6 @@ impl Store {
         }
 
         report.recovery_ns = t0.elapsed().as_nanos() as u64;
-        #[cfg(feature = "obs")]
         self.meters.recovery_ns.record(report.recovery_ns);
         self.refresh_gauges();
         Ok(Recovered {

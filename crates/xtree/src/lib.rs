@@ -35,7 +35,6 @@ pub mod alphabet;
 pub mod bp;
 pub mod builder;
 pub mod catalog;
-pub mod cursor;
 pub mod edit;
 pub mod fcns;
 pub mod generate;
@@ -44,7 +43,6 @@ pub mod parse;
 pub mod rng;
 pub mod serialize;
 pub mod shrink;
-pub mod stats;
 pub mod traverse;
 pub mod tree;
 
@@ -52,7 +50,6 @@ pub use alphabet::{Alphabet, Label};
 pub use bp::{BpError, StructureBits};
 pub use builder::TreeBuilder;
 pub use catalog::Catalog;
-pub use cursor::Cursor;
 pub use edit::{apply_edit, DocVersion, Edit, EditError, EditReceipt, Span, VersionedDocument};
 pub use fcns::BinTree;
 pub use nodeset::{BitMatrix, NodeSet};

@@ -12,11 +12,11 @@
 
 use treewalk::regxpath::print::rpath_to_string;
 use treewalk::treeauto::xpath_compile::satisfiable;
-use treewalk::twa::eval::{accepts_from, eval_image};
-use treewalk::twa::machine::{Move, Ntwa, Scope, TestAtom, Transition, Twa};
 use treewalk::xtree::parse::parse_sexp_with;
 use treewalk::xtree::serialize::to_sexp;
 use treewalk::xtree::{Alphabet, NodeSet};
+use twx_twa::eval::{accepts_from, eval_image};
+use twx_twa::machine::{Move, Ntwa, Scope, TestAtom, Transition, Twa};
 
 fn main() {
     let mut ab = Alphabet::from_names(["ok", "stop"]);
@@ -91,7 +91,7 @@ fn main() {
     );
 
     // the same automaton as a Regular XPath(W) expression (Kleene)
-    let back = treewalk::core::ntwa_to_rpath(&walker);
+    let back = twx_core::ntwa_to_rpath(&walker);
     println!(
         "\nKleene translation of the walker:\n  {}",
         rpath_to_string(&back, &ab)
@@ -99,7 +99,7 @@ fn main() {
 
     // sanity: same relation on this tree
     assert_eq!(
-        treewalk::twa::eval_rel(&t, &walker),
+        twx_twa::eval_rel(&t, &walker),
         treewalk::regxpath::eval_rel(&t, &back),
     );
     println!("✓ automaton and translated expression agree on this tree");

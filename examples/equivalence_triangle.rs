@@ -6,11 +6,11 @@
 //! cargo run --example equivalence_triangle
 //! ```
 
-use treewalk::core::diff::{check_tri, standard_corpus, TriQuery};
-use treewalk::fotc::print::formula_to_string;
 use treewalk::regxpath::parser::parse_rpath;
 use treewalk::regxpath::print::rpath_to_string;
 use treewalk::xtree::Alphabet;
+use twx_core::diff::{check_tri, standard_corpus, TriQuery};
+use twx_fotc::print::formula_to_string;
 
 fn main() {
     let mut ab = Alphabet::from_names(["a", "b"]);

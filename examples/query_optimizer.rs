@@ -18,13 +18,13 @@
 //! ```
 
 use std::time::Instant;
-use treewalk::core::decide::{downward_equivalent, node_equiv_bounded, path_equiv_bounded};
-use treewalk::core::from_core::{core_node_to_regular, core_path_to_regular};
 use treewalk::corexpath::parser::{parse_node_expr, parse_path_expr};
 use treewalk::corexpath::print::path_to_string;
 use treewalk::corexpath::rewrite::simplify_path;
 use treewalk::xtree::generate::{random_tree, Shape};
 use treewalk::xtree::{Alphabet, NodeSet};
+use twx_core::decide::{downward_equivalent, node_equiv_bounded, path_equiv_bounded};
+use twx_core::from_core::{core_node_to_regular, core_path_to_regular};
 
 fn main() {
     let mut ab = Alphabet::from_names(["a0", "a1"]);
@@ -65,7 +65,7 @@ fn main() {
                     2,
                 );
                 match v {
-                    treewalk::core::decide::BoundedVerdict::Inequivalent { tree, witness } => {
+                    twx_core::decide::BoundedVerdict::Inequivalent { tree, witness } => {
                         println!(
                             "  INVALID  {l} == {r}   countermodel: {} at node {}",
                             treewalk::xtree::serialize::to_sexp(&tree, &ab),

@@ -198,7 +198,6 @@ impl PlanCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             obs::incr(Counter::PrepareCacheHits);
             obs::incr(Counter::PlanCacheHits);
-            obs::incr(Counter::MemoHits);
         } else {
             self.prepare_misses.fetch_add(1, Ordering::Relaxed);
             obs::incr(Counter::PrepareCacheMisses);
@@ -245,7 +244,6 @@ impl PlanCache {
             if let Some(plan) = inner.map.get(path) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 obs::incr(Counter::PlanCacheHits);
-                obs::incr(Counter::MemoHits);
                 return Arc::clone(plan);
             }
         }
@@ -254,7 +252,6 @@ impl PlanCache {
         // are identical and the first insert wins.
         self.misses.fetch_add(1, Ordering::Relaxed);
         obs::incr(Counter::PlanCacheMisses);
-        obs::incr(Counter::MemoMisses);
         let plan = {
             let _t = obs::span(Counter::CompileNanos);
             Arc::new(twx_vm::compile_path(path))
@@ -527,14 +524,6 @@ impl ResultCache {
         let mut inner = self.inner.write().expect("result cache poisoned");
         if let Some(slice) = inner.docs.get_mut(&doc) {
             slice.version = new_version;
-        }
-    }
-
-    /// Drops every cached answer for `doc` (e.g. on document removal).
-    pub fn purge_doc(&self, doc: u64) {
-        let mut inner = self.inner.write().expect("result cache poisoned");
-        if let Some(slice) = inner.docs.remove(&doc) {
-            inner.len -= slice.answers.len();
         }
     }
 

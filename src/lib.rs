@@ -1,21 +1,29 @@
 //! # treewalk — XPath, transitive closure logic, and nested tree walking automata
 //!
-//! Facade crate re-exporting the whole workspace: a from-scratch
-//! reproduction of ten Cate & Segoufin (PODS 2008 / JACM 2010).
+//! The query engine of a from-scratch reproduction of ten Cate &
+//! Segoufin (PODS 2008 / JACM 2010): [`Engine`] parses and simplifies a
+//! Regular XPath(W) query, prunes unsatisfiable branches, and compiles it
+//! to one VM program. The facade is that engine plus the crates it is
+//! built on, re-exported:
 //!
 //! * [`xtree`] — sibling-ordered labelled trees (the XML data model);
 //! * [`corexpath`] — Core XPath 1.0 with a linear-time evaluator;
 //! * [`regxpath`] — Regular XPath(W): transitive closure + `within`;
-//! * [`fotc`] — first-order logic with monadic transitive closure;
-//! * [`twa`] — (nested) tree walking automata;
-//! * [`treeauto`] — bottom-up tree automata (the MSO/regular yardstick);
+//! * [`treeauto`] — bottom-up tree automata (the MSO/regular yardstick,
+//!   and the type automaton behind [`prune_unsat_rpath`]);
 //! * [`vm`] — the bytecode VM: plans compiled to a register machine over
 //!   dense bitsets, the one evaluator [`Engine`] compiles to;
-//! * [`core`] — the effective equivalence triangle between the three
-//!   formalisms (the reference translations the VM is checked against),
-//!   plus deciders and differential-testing harnesses;
 //! * [`obs`] — zero-dependency counters, span timers, and the per-query
 //!   EXPLAIN profiles surfaced through [`Engine::explain`].
+//!
+//! The paper's other constructions are reference oracles, not serving
+//! code, and are named directly as their own crates: `twx-fotc`
+//! (first-order logic with monadic transitive closure), `twx-twa`
+//! ((nested) tree walking automata) and `twx-core` (the effective
+//! equivalence triangle between the three formalisms, plus deciders and
+//! differential-testing harnesses). The tests, the examples and the
+//! `twx-conform` fuzzer check the VM against them; neither this facade
+//! nor the serving build depends on them.
 //!
 //! The serving layer — sharded corpus store, concurrent query service
 //! with admission control, and the `twx-serve` TCP binary — lives in the
@@ -26,13 +34,10 @@ pub mod prune;
 
 pub use engine::{CacheStats, Engine, EngineError, Prepared, ResultCache, ResultCacheStats};
 pub use prune::prune_unsat_rpath;
-pub use twx_core as core;
 pub use twx_corexpath as corexpath;
-pub use twx_fotc as fotc;
 pub use twx_obs as obs;
 pub use twx_obs::{Histogram, QueryProfile, SpanTree, TraceId};
 pub use twx_regxpath as regxpath;
 pub use twx_treeauto as treeauto;
-pub use twx_twa as twa;
 pub use twx_vm as vm;
 pub use twx_xtree as xtree;

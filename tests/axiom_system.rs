@@ -3,11 +3,11 @@
 //! embedding into Regular XPath and compiling to nested tree walking
 //! automata. Axioms are the contract of the whole stack.
 
-use treewalk::core::from_core::core_path_to_regular;
-use treewalk::core::rpath_to_ntwa;
 use treewalk::corexpath::axioms::{all_axioms, AxiomInstance, Instantiation};
 use treewalk::corexpath::generate::{random_node_expr, random_path_expr, GenConfig};
 use treewalk::xtree::generate::enumerate_trees_up_to;
+use twx_core::from_core::core_path_to_regular;
+use twx_core::rpath_to_ntwa;
 use twx_xtree::rng::SplitMix64 as StdRng;
 
 fn random_instantiation(rng: &mut StdRng) -> Instantiation {
@@ -41,8 +41,8 @@ fn axioms_hold_through_the_whole_stack() {
                 let al = rpath_to_ntwa(&rl);
                 let ar = rpath_to_ntwa(&rr);
                 for t in &trees {
-                    let lhs = treewalk::twa::eval_rel(t, &al);
-                    let rhs = treewalk::twa::eval_rel(t, &ar);
+                    let lhs = twx_twa::eval_rel(t, &al);
+                    let rhs = twx_twa::eval_rel(t, &ar);
                     assert_eq!(
                         lhs, rhs,
                         "axiom {} broken under the NTWA rendition on {t:?}",

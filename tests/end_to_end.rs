@@ -1,12 +1,12 @@
 //! Integration: XML in, answers out, through every engine.
 
-use treewalk::core::from_core::core_path_to_regular;
-use treewalk::core::rpath_to_ntwa;
 use treewalk::corexpath::parser::parse_path_expr;
-use treewalk::twa::eval::eval_image;
 use treewalk::xtree::parse::{parse_xml, parse_xml_with, XmlOptions};
 use treewalk::xtree::serialize::{to_sexp, to_xml};
 use treewalk::xtree::{Alphabet, NodeSet};
+use twx_core::from_core::core_path_to_regular;
+use twx_core::rpath_to_ntwa;
+use twx_twa::eval::eval_image;
 
 const CATALOG: &str = r#"
 <catalog>
@@ -52,8 +52,8 @@ fn same_answers_from_all_engines() {
         let auto = rpath_to_ntwa(&rp);
         assert_eq!(eval_image(&doc.tree, &auto, &ctx), gkp, "{src}: ntwa");
         // engine 5: FO(MTC) model checking
-        let f = treewalk::core::rpath_to_formula(&rp, 0, 1, 2);
-        let logic_rel = treewalk::fotc::eval::eval_binary(&doc.tree, &f, 0, 1);
+        let f = twx_core::rpath_to_formula(&rp, 0, 1, 2);
+        let logic_rel = twx_fotc::eval::eval_binary(&doc.tree, &f, 0, 1);
         assert_eq!(logic_rel.image(&ctx), gkp, "{src}: fotc");
     }
 }

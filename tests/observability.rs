@@ -80,7 +80,7 @@ fn explain_profiles_carry_backend_counters() {
     assert_eq!(profile.counters.get(Counter::VmAxisClosures), 1);
     assert_eq!(profile.counters.get(Counter::VmClosureIters), 0);
     assert!(profile.to_text().contains("vm_axis_closures"));
-    assert_eq!(profile.counters.get(Counter::MemoMisses), 1);
+    assert_eq!(profile.counters.get(Counter::PlanCacheMisses), 1);
     assert!(profile.eval_nanos > 0);
     assert!(profile.compile_nanos > 0);
     assert!(profile.total_steps() > 0);
@@ -139,7 +139,6 @@ fn repeat_preparations_hit_the_plan_cache() {
     let p = engine.prepare(&d, "down+[b]").unwrap();
     let compile = obs::delta_since(&before);
     assert_eq!(compile.get(Counter::PlanCacheMisses), 1);
-    assert_eq!(compile.get(Counter::MemoMisses), 1);
     assert_eq!(compile.get(Counter::PlanCacheHits), 0);
     assert!(compile.get(Counter::CompileNanos) > 0);
     assert!(compile.get(Counter::CompiledVmInstrs) > 0);
@@ -157,7 +156,6 @@ fn repeat_preparations_hit_the_plan_cache() {
     let p2 = engine.prepare(&d, "down+[b]").unwrap();
     let hit = obs::delta_since(&before);
     assert_eq!(hit.get(Counter::PlanCacheHits), 1);
-    assert_eq!(hit.get(Counter::MemoHits), 1);
     assert_eq!(hit.get(Counter::PlanCacheMisses), 0);
     assert_eq!(hit.get(Counter::CompileNanos), 0);
     assert_eq!(p2.eval(&d, root), p.eval(&d, root));

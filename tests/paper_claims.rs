@@ -2,13 +2,13 @@
 //! named accordingly — the traceability layer referenced by
 //! `EXPERIMENTS.md`.
 
-use treewalk::core::decide::{
-    downward_contains, downward_equivalent, node_equiv_bounded, path_equiv_bounded,
-};
-use treewalk::core::diff::{check_tri, standard_corpus, TriQuery};
 use treewalk::corexpath::parser::parse_node_expr;
 use treewalk::regxpath::parser::{parse_rnode, parse_rpath};
 use treewalk::xtree::Alphabet;
+use twx_core::decide::{
+    downward_contains, downward_equivalent, node_equiv_bounded, path_equiv_bounded,
+};
+use twx_core::diff::{check_tri, standard_corpus, TriQuery};
 
 fn ab() -> Alphabet {
     Alphabet::from_names(["a", "b"])
@@ -38,7 +38,7 @@ fn claim_within_changes_semantics() {
     let within = parse_rnode("W(<up>)", &mut alphabet).unwrap();
     assert!(!node_equiv_bounded(&plain, &within, 3, 1).is_equivalent());
     // W⟨↑⟩ is unsatisfiable: each node is the root of its own subtree
-    assert!(treewalk::core::decide::node_sat_bounded(&within, 4, 2).is_none());
+    assert!(twx_core::decide::node_sat_bounded(&within, 4, 2).is_none());
 }
 
 /// Claim (evaluation): Regular XPath(W) queries are evaluable in
@@ -119,7 +119,7 @@ fn claim_disjoint_labels() {
 /// semantics — spot-checked here, fuzzed in `twx-core`.
 #[test]
 fn claim_core_embeds() {
-    use treewalk::core::from_core::core_path_to_regular;
+    use twx_core::from_core::core_path_to_regular;
     let mut alphabet = ab();
     let core = treewalk::corexpath::parse_path_expr("down+[a]/right", &mut alphabet).unwrap();
     let reg = core_path_to_regular(&core);

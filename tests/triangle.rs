@@ -1,10 +1,10 @@
 //! Integration: the equivalence triangle across all crates, driven from
 //! the textual surface syntax (parser → translations → all evaluators).
 
-use treewalk::core::diff::{check_tri, standard_corpus, TriQuery};
-use treewalk::core::{ntwa_to_rpath, rpath_to_ntwa};
 use treewalk::regxpath::parser::parse_rpath;
 use treewalk::xtree::Alphabet;
+use twx_core::diff::{check_tri, standard_corpus, TriQuery};
+use twx_core::{ntwa_to_rpath, rpath_to_ntwa};
 
 /// Handcrafted queries covering every construct of Regular XPath(W).
 const QUERIES: &[&str] = &[
