@@ -29,28 +29,35 @@
 //! exports as the top-level `e12` field of `BENCH_HARNESS.json`; CI
 //! asserts the hot geometric-mean speedup stays ≥ 2× on the pool, and
 //! that the VM is at least as fast as product on the deep document
-//! (`e12.deep` geomean ≥ 1×) and on every selective-context row
-//! (`e12.selective` minimum ≥ 1×).
+//! (`e12.deep` geomean ≥ 1×), on every deep row whose closure ran a
+//! one-way automaton pass (`one_way` in the summary), and on every
+//! selective-context row (`e12.selective` minimum ≥ 1×).
 
 use crate::experiments::{e1_core_eval, e2_regxpath_eval, time_us};
 use crate::table::{fmt_micros, Table};
 use crate::{RunCfg, Workload};
 use treewalk::Engine;
 use twx_obs::json::Json;
+use twx_obs::{self as obs, Counter};
 use twx_regxpath::eval::Compiled;
 use twx_xtree::generate::{random_document_in, Shape};
 use twx_xtree::rng::SplitMix64;
 use twx_xtree::{Catalog, Document, NodeId, NodeSet};
 
 /// The deep/starred pool: descendant closures, zigzags, long sequences,
-/// chained stars, filtered closures, and a nested `Some` filter.
-const QUERIES: [(&str, &str); 6] = [
+/// chained stars, filtered closures, a nested `Some` filter, and the
+/// closures of one-way bodies in both directions (`filtered-closure`
+/// and `even-depths` run the preorder pass; `even-depths-some`'s `<…>`
+/// is a preimage, so it runs the reverse-preorder pass).
+const QUERIES: [(&str, &str); 8] = [
     ("desc-star", "down*[p0]"),
     ("zigzag", "(down/right | up)*[p0]"),
     ("deep-seq", "down/down/down/down/down[p1]"),
     ("star-chain", "down*/right*/down*[p2]"),
     ("filtered-closure", "(down[p0] | right)*[p1 or p2]"),
     ("nested-some", "down*[<down*[p2]>]"),
+    ("even-depths", "(down/down)*[p0]"),
+    ("even-depths-some", "down*[<(down/down)*[p1]>]"),
 ];
 
 struct Sizes {
@@ -273,12 +280,12 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
             format!("{:.1}x", product_us / vm_us.max(0.01)),
         ]
     };
-    for (name, product_us, vm_us) in &deep.rows {
+    for r in &deep.rows {
         table.row(hot_row(
-            format!("deep:{name}"),
+            format!("deep:{}", r.name),
             deep.serves,
-            *product_us,
-            *vm_us,
+            r.product_us,
+            r.vm_us,
         ));
     }
     let geomean_row = |label: &str, g: f64| {
@@ -323,9 +330,21 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
          every re-prepare a hit",
         vm_stats.hits, vm_stats.misses, vm_stats.entries
     ));
+    let one_way: Vec<&str> = deep
+        .rows
+        .iter()
+        .filter(|r| r.one_way)
+        .map(|r| r.name)
+        .collect();
     table.note(format!(
-        "deep rows: one Shape::Deep(2) doc of {DEEP_SIZE} nodes (height {}), hot, one thread",
-        deep.height
+        "deep rows: one Shape::Deep(2) doc of {DEEP_SIZE} nodes (height {}), hot, one thread; \
+         one-way automaton passes in {}",
+        deep.height,
+        if one_way.is_empty() {
+            "none (instrumentation off)".to_string()
+        } else {
+            one_way.join(", ")
+        }
     ));
     table.note(format!(
         "workload:e1|e2:query rows: the E1/E2 query mixes, hot, one thread, one {}-node doc per \
@@ -360,13 +379,14 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
         .rows
         .iter()
         .zip(QUERIES)
-        .map(|((name, product_us, vm_us), (_, q))| {
+        .map(|(r, (_, q))| {
             Json::obj()
-                .field("name", *name)
+                .field("name", r.name)
                 .field("query", q)
-                .field("product_hot_us", *product_us)
-                .field("vm_hot_us", *vm_us)
-                .field("speedup_hot", product_us / vm_us.max(0.01))
+                .field("product_hot_us", r.product_us)
+                .field("vm_hot_us", r.vm_us)
+                .field("speedup_hot", r.product_us / r.vm_us.max(0.01))
+                .field("one_way", r.one_way)
         })
         .collect();
     let family_rows: Vec<Json> = families
@@ -444,8 +464,18 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
 struct Deep {
     height: u32,
     serves: usize,
-    rows: Vec<(&'static str, f64, f64)>,
+    rows: Vec<DeepRow>,
     geomean_speedup_hot: f64,
+}
+
+/// One pool query on the deep document.
+struct DeepRow {
+    name: &'static str,
+    product_us: f64,
+    vm_us: f64,
+    /// Whether the VM's evaluation ran a one-way automaton pass (read
+    /// from `vm_one_way_passes`; always false without instrumentation).
+    one_way: bool,
 }
 
 /// Times the pool hot on one [`DEEP_SIZE`]-node
@@ -456,14 +486,23 @@ fn run_deep(cfg: &RunCfg, catalog: &Catalog, serves: usize) -> Deep {
     let docs = std::slice::from_ref(&doc);
     let height = doc.tree.depths().into_iter().max().unwrap_or(0);
     let vm = Engine::new();
-    let rows: Vec<(&'static str, f64, f64)> = QUERIES
+    let rows: Vec<DeepRow> = QUERIES
         .iter()
         .map(|&(name, q)| {
             let (product_us, vm_us) = hot_pair(&vm, catalog, docs, q, serves, root);
-            (name, product_us, vm_us)
+            let prepared = vm.prepare_in(catalog, q).expect("pool query compiles");
+            let before = obs::snapshot();
+            prepared.eval(&doc, doc.tree.root());
+            let one_way = obs::delta_since(&before).get(Counter::VmOneWayPasses) > 0;
+            DeepRow {
+                name,
+                product_us,
+                vm_us,
+                one_way,
+            }
         })
         .collect();
-    let geomean_speedup_hot = geomean(rows.iter().map(|(_, p, v)| p / v.max(0.01)));
+    let geomean_speedup_hot = geomean(rows.iter().map(|r| r.product_us / r.vm_us.max(0.01)));
     Deep {
         height,
         serves,
@@ -641,6 +680,18 @@ mod tests {
         match field(field(&summary, "deep"), "geomean_speedup_hot") {
             Json::Num(s) => assert!(*s > 0.0, "deep geomean must be positive, got {s}"),
             other => panic!("deep geomean_speedup_hot is {other:?}"),
+        }
+        match field(field(&summary, "deep"), "queries") {
+            Json::Arr(rows) => {
+                let one_way: Vec<&Json> = rows
+                    .iter()
+                    .filter(|r| field(r, "one_way") == &Json::Bool(true))
+                    .map(|r| field(r, "name"))
+                    .collect();
+                let want = ["filtered-closure", "even-depths", "even-depths-some"].map(Json::from);
+                assert_eq!(one_way, want.iter().collect::<Vec<_>>());
+            }
+            other => panic!("deep queries are {other:?}"),
         }
         match field(field(&summary, "selective"), "min_speedup_hot") {
             Json::Num(s) => assert!(*s > 0.0, "selective speedups must be positive, got {s}"),

@@ -16,7 +16,7 @@
 //!   pure snapshot-load rate.
 //! * **Compression** — the balanced-parentheses + label-palette
 //!   encoding's actual on-disk bytes per node (total snapshot bytes over
-//!   total nodes, headers and checksums included) against the 24-byte
+//!   total nodes, headers and checksums included) against the 16-byte
 //!   arena node ([`ARENA_BYTES_PER_NODE`]). The acceptance bar is ≥ 4×;
 //!   with a 4-label alphabet the encoding lands near the
 //!   [`compact_bytes_per_node`] ideal of ~0.5 B/node, so the measured

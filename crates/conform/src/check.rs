@@ -34,6 +34,9 @@ pub struct Conformer {
     vm: Engine,
     fault: Option<Fault>,
     route_nanos: [u64; RouteId::ALL.len()],
+    /// [`RouteId::Vm`] evaluations that ran at least one one-way
+    /// automaton pass (`vm_one_way_passes`).
+    vm_one_way_evals: u64,
 }
 
 impl Conformer {
@@ -49,6 +52,7 @@ impl Conformer {
             vm: Engine::new(),
             fault,
             route_nanos: [0; RouteId::ALL.len()],
+            vm_one_way_evals: 0,
         }
     }
 
@@ -64,6 +68,13 @@ impl Conformer {
             .into_iter()
             .map(|r| (r, self.route_nanos[r.index()]))
             .collect()
+    }
+
+    /// How many [`RouteId::Vm`] evaluations so far ran a one-way
+    /// automaton pass — the share of checks that exercised that kernel
+    /// (zero when instrumentation is compiled out).
+    pub fn vm_one_way_evals(&self) -> u64 {
+        self.vm_one_way_evals
     }
 
     /// Evaluates `query` on `doc` through every route. Returns
@@ -117,7 +128,11 @@ impl Conformer {
             .map(|s| {
                 s.iter().map(|v| v.0).collect::<Vec<u32>>() // NodeSet iterates in id order
             });
-            self.route_nanos[route.index()] += obs::delta_since(&before).get(Counter::EvalNanos);
+            let delta = obs::delta_since(&before);
+            self.route_nanos[route.index()] += delta.get(Counter::EvalNanos);
+            if route == RouteId::Vm && delta.get(Counter::VmOneWayPasses) > 0 {
+                self.vm_one_way_evals += 1;
+            }
             if let (Some(f), Ok(a)) = (&self.fault, &mut answer) {
                 if f.route == route {
                     f.apply(a);
@@ -249,6 +264,15 @@ mod tests {
         for (route, nanos) in conf.route_nanos() {
             assert!(nanos > 0, "route {} recorded no eval time", route.name());
         }
+        // none of those stars is one-way; this one is
+        assert_eq!(conf.vm_one_way_evals(), 0);
+        let r = conf.check("(down/down | right[a])*", &d, 7).unwrap();
+        assert!(
+            r.is_none(),
+            "unexpected divergence: {}",
+            r.unwrap().describe()
+        );
+        assert_eq!(conf.vm_one_way_evals(), u64::from(twx_obs::ENABLED));
     }
 
     #[test]

@@ -84,6 +84,8 @@ pub struct FuzzReport {
     pub shrink_steps: u64,
     /// Accumulated `eval_nanos` per route.
     pub route_nanos: Vec<(RouteId, u64)>,
+    /// VM-route evaluations that ran a one-way automaton pass.
+    pub vm_one_way_evals: u64,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
 }
@@ -125,6 +127,7 @@ impl FuzzReport {
             .field("shrink_steps", self.shrink_steps)
             .field("elapsed_ms", self.elapsed.as_millis() as u64)
             .field("routes", Json::Arr(routes))
+            .field("vm_one_way_evals", self.vm_one_way_evals)
             .field("found", Json::Arr(divergences))
     }
 }
@@ -168,6 +171,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
         divergences: Vec::new(),
         shrink_steps: 0,
         route_nanos: Vec::new(),
+        vm_one_way_evals: 0,
         elapsed: Duration::ZERO,
     };
 
@@ -210,6 +214,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     }
 
     report.route_nanos = conf.route_nanos();
+    report.vm_one_way_evals = conf.vm_one_way_evals();
     report.elapsed = started.elapsed();
     report
 }
@@ -237,6 +242,7 @@ mod tests {
         let json = report.to_json().render();
         assert!(json.contains("\"schema\":\"twx-fuzz/1\""));
         assert!(json.contains("\"divergences\":0"));
+        assert!(json.contains("\"vm_one_way_evals\":"));
     }
 
     #[test]

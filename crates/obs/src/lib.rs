@@ -201,12 +201,17 @@ counters! {
     VmInstructions => "vm_instructions",
     /// Kleene-closure rounds executed by the VM (one per frontier pass,
     /// summed over every `Star` instruction). Closures of bare-axis
-    /// unions run no rounds and count in `VmAxisClosures` instead.
+    /// unions and of one-way bodies run no rounds and count in
+    /// `VmAxisClosures` and `VmOneWayPasses` instead.
     VmClosureIters => "vm_closure_iters",
     /// Closures of bare-axis unions (`down*`, `(left | up)*`, …) the VM
     /// ran as one preorder-interval or link-walk kernel
     /// (`Instr::AxisClosure`), one per instruction executed.
     VmAxisClosures => "vm_axis_closures",
+    /// Closures of one-way bodies (every axis step `down`/`right`, or
+    /// every one `up`/`left`) the VM ran as one pass of the star's
+    /// automaton (`Instr::OneWayClosure`), one per instruction executed.
+    VmOneWayPasses => "vm_one_way_passes",
     /// Register buffers the VM arena had to allocate fresh because the
     /// thread-local pool was empty — zero in a warmed-up serving loop.
     VmArenaAllocs => "vm_arena_allocs",
@@ -249,16 +254,18 @@ pub fn incr(c: Counter) {
 /// Without the `enabled` feature this is a zero-sized token and every
 /// delta is all-zero.
 #[derive(Clone, Debug)]
+#[cfg_attr(not(feature = "enabled"), derive(Default))]
 pub struct Snapshot {
     #[cfg(feature = "enabled")]
     values: [u64; N_COUNTERS],
 }
 
-// `[u64; N]: Default` only holds for N ≤ 32, so spell it out.
+// `[u64; N]: Default` only holds for N ≤ 32, so spell it out when the
+// slots exist (without them the struct is empty and derives it).
+#[cfg(feature = "enabled")]
 impl Default for Snapshot {
     fn default() -> Snapshot {
         Snapshot {
-            #[cfg(feature = "enabled")]
             values: [0; N_COUNTERS],
         }
     }

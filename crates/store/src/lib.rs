@@ -19,7 +19,7 @@
 //! * **Snapshots** ([`snapshot`]) store tree shape as a
 //!   balanced-parentheses bitvector (2 bits/node) and labels as packed
 //!   indices into a per-document palette of catalog ids — a fraction of
-//!   a byte per node against the 24-byte in-memory arena node. Every
+//!   a byte per node against the 16-byte in-memory arena node. Every
 //!   section is FNV-1a checksummed; a snapshot either decodes exactly or
 //!   fails with a typed [`StoreError`].
 //! * **The journal** ([`journal`]) records every committed edit with its

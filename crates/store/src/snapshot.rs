@@ -24,7 +24,7 @@
 //!
 //! Tree *shape* costs 2 bits/node and labels cost `⌈log₂|palette|⌉`
 //! bits/node against a per-document palette of global catalog ids — for
-//! a 4-label document that is 0.5 bytes/node, vs the 24-byte arena node
+//! a 4-label document that is 0.5 bytes/node, vs the 16-byte arena node
 //! of the in-memory [`Tree`]. Every section carries its
 //! own checksum so a torn or bit-flipped snapshot is rejected as a
 //! whole, never half-loaded.

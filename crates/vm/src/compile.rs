@@ -10,7 +10,14 @@
 //!
 //! A `Star` whose body is a union of bare axis steps compiles to one
 //! [`Instr::AxisClosure`] (with the axes inverted in the preimage
-//! direction); every other body becomes a loop block run in rounds.
+//! direction). A `Star` whose body's axis steps all move forward in
+//! document order (`down`, `right`) or all backward (`up`, `left`)
+//! compiles to one [`Instr::OneWayClosure`]: its Thompson NFA — of the
+//! converse in the preimage direction — becomes a [`OneWay`] automaton
+//! in [`Program::autos`], and its node tests are hoisted like any
+//! other. Every other body — one that moves both ways, or whose
+//! automaton needs more than [`crate::oneway::MAX_STATES`] states —
+//! becomes a loop block run in rounds.
 //!
 //! Node expressions are **hoisted**: `⟦φ⟧` depends only on the tree, never
 //! on loop state, so its computation is always emitted into block 0 (the
@@ -27,7 +34,7 @@
 //! iteration, and the body's overwrite would clobber it between
 //! iterations.
 
-use crate::{AxisSet, Instr, Program, Reg};
+use crate::{AxisSet, Instr, OneWay, Program, Reg};
 use twx_obs::{self as obs, Counter};
 use twx_regxpath::ast::{RNode, RPath};
 
@@ -53,6 +60,7 @@ pub fn compile_node(phi: &RNode) -> Program {
 struct Compiler {
     blocks: Vec<Vec<Instr>>,
     subs: Vec<Program>,
+    autos: Vec<OneWay>,
     n_regs: u16,
     free: Vec<Reg>,
 }
@@ -62,13 +70,14 @@ impl Compiler {
         Compiler {
             blocks: vec![Vec::new()],
             subs: Vec::new(),
+            autos: Vec::new(),
             n_regs: 0,
             free: Vec::new(),
         }
     }
 
     fn finish(self, out: Reg) -> Program {
-        let p = Program::new(self.blocks, self.subs, self.n_regs, out);
+        let p = Program::new(self.blocks, self.subs, self.autos, self.n_regs, out);
         obs::add(Counter::CompiledVmInstrs, p.n_instrs() as u64);
         p
     }
@@ -144,6 +153,9 @@ impl Compiler {
             RPath::Star(a) => {
                 if let Some(axes) = axis_union(a) {
                     self.emit(block, Instr::AxisClosure { dst, src, axes });
+                    return;
+                }
+                if self.one_way_closure(block, a, false, src, dst) {
                     return;
                 }
                 let frontier = self.alloc();
@@ -222,6 +234,9 @@ impl Compiler {
                     self.emit(block, Instr::AxisClosure { dst, src, axes });
                     return;
                 }
+                if self.one_way_closure(block, a, true, src, dst) {
+                    return;
+                }
                 let frontier = self.alloc();
                 let step = self.alloc();
                 let body = self.blocks.len() as u16;
@@ -250,6 +265,34 @@ impl Compiler {
                 self.release_in(block, mid);
             }
         }
+    }
+
+    /// Emits `dst ← img(body*, src)` — of `(body⁻¹)*` with `converse` —
+    /// as one [`Instr::OneWayClosure`] and returns `true` when the body
+    /// moves one way only; otherwise emits nothing and returns `false`.
+    fn one_way_closure(
+        &mut self,
+        block: usize,
+        body: &RPath,
+        converse: bool,
+        src: Reg,
+        dst: Reg,
+    ) -> bool {
+        let mut tests = Vec::new();
+        let Some(auto) = OneWay::compile(body, converse, |phi| {
+            let test = self.node_set(phi);
+            tests.push(test);
+            test
+        }) else {
+            return false;
+        };
+        let id = u16::try_from(self.autos.len()).expect("vm: automata exceed u16");
+        self.autos.push(auto);
+        self.emit(block, Instr::OneWayClosure { dst, src, auto: id });
+        for test in tests {
+            self.release_in(block, test);
+        }
+        true
     }
 
     /// Emits code computing `⟦φ⟧` into a fresh register — always into
@@ -344,9 +387,9 @@ mod tests {
 
     #[test]
     fn tests_inside_stars_are_hoisted() {
-        // down[p0]* — the p0 set must be loaded in block 0, and the loop
-        // body must contain no Load instructions at all.
-        let p = compile_path(&path("(down[p0])*"));
+        // (down[p0] | up)* — the p0 set must be loaded in block 0, and the
+        // loop body must contain no Load instructions at all.
+        let p = compile_path(&path("(down[p0] | up)*"));
         assert_eq!(p.blocks.len(), 2);
         assert!(p.blocks[0]
             .iter()
@@ -380,9 +423,55 @@ mod tests {
             closures("down*[<(down | left)*[p0]>]"),
             [AxisSet::of([Down]), AxisSet::of([Up, Right])]
         );
-        // any other body keeps its loop block
-        for q in ["(down/down)*", "(down[p0] | left)*", "(down | .)*"] {
+        // a body that moves both ways keeps its loop block
+        for q in ["(down/up)*", "(down[p0] | left)*", "(down | up/.)*"] {
             assert_eq!(compile_path(&path(q)).blocks.len(), 2, "{q}");
+        }
+    }
+
+    #[test]
+    fn one_way_stars_compile_to_one_pass_and_fold_nested_stars() {
+        // (auto index, forward) of every OneWayClosure, in emission order
+        let passes = |q: &str| -> Vec<bool> {
+            let p = compile_path(&path(q));
+            assert_eq!(p.blocks.len(), 1, "{q}: no loop body");
+            let mut ids = Vec::new();
+            for i in &p.blocks[0] {
+                if let Instr::OneWayClosure { auto, .. } = *i {
+                    ids.push(p.autos[auto as usize].forward());
+                }
+            }
+            assert_eq!(ids.len(), p.autos.len(), "{q}: one automaton per pass");
+            ids
+        };
+        assert_eq!(passes("(down/down)*[p0]"), [true]);
+        assert_eq!(passes("(down[p0] | right)*"), [true]);
+        assert_eq!(passes("(up/left*)*"), [false], "the nested star folds in");
+        assert_eq!(passes("(down | .)*"), [true]);
+        // `<…>` is a preimage: a forward body runs the backward pass
+        assert_eq!(passes("down*[<(down/down)*[p1]>]"), [false]);
+        assert_eq!(passes("(down/down)*/(up/up)*"), [true, false]);
+        // the test sets are loaded in block 0, before the pass
+        let p = compile_path(&path("(down[p0] | right[p1])*"));
+        let loads = p.blocks[0]
+            .iter()
+            .filter(|i| matches!(i, Instr::LoadLabel { .. }))
+            .count();
+        assert_eq!(loads, 2);
+        assert!(matches!(
+            p.blocks[0].last(),
+            Some(Instr::OneWayClosure { .. })
+        ));
+    }
+
+    #[test]
+    fn automata_past_the_state_bound_run_rounds() {
+        // k `down` steps: k states a move leaves, plus accept
+        let steps = |k: usize| format!("({})*", vec!["down"; k].join("/"));
+        for (k, pass) in [(62, true), (63, true), (64, false)] {
+            let p = compile_path(&path(&steps(k)));
+            assert_eq!(p.autos.len(), usize::from(pass), "{k} steps");
+            assert_eq!(p.blocks.len(), if pass { 1 } else { 2 }, "{k} steps");
         }
     }
 
@@ -395,12 +484,12 @@ mod tests {
 
     #[test]
     fn loop_body_scratch_is_never_recycled_into_a_hoisted_set() {
-        // regression: in ((right/down)[!p1])* the Seq's body-block scratch
+        // regression: in ((right/up)[!p1])* the Seq's body-block scratch
         // used to be released and immediately reused for the hoisted ¬p1
         // set, so the first closure iteration clobbered the test. No
         // instruction in a loop body may write a register that block 0
         // loads as a test set.
-        let p = compile_path(&path("((right/down)[!p1])*"));
+        let p = compile_path(&path("((right/up)[!p1])*"));
         let mut hoisted = Vec::new();
         for i in &p.blocks[0] {
             if let Instr::LoadLabel { dst, .. } | Instr::LoadFull { dst } = i {

@@ -25,7 +25,16 @@
 //!   the first node already present, whose own closure is then already
 //!   in the accumulator. At most `3·|answer|` link reads.
 //!
-//! Every other `Star` closure runs in **hybrid rounds**. While the
+//! [`Instr::OneWayClosure`] — the star of a body whose axis steps all
+//! move forward (`down`, `right`) or all backward (`up`, `left`) — runs
+//! one pass of its compiled automaton ([`crate::oneway`]): a preorder
+//! or reverse-preorder sweep that jumps over what no walk reaches, with
+//! its per-node state masks in a buffer the arena keeps zeroed between
+//! passes.
+//!
+//! Every other `Star` closure — a body that moves both ways, or one
+//! whose automaton needs more than [`crate::oneway::MAX_STATES`] states
+//! — runs in **hybrid rounds**. While the
 //! frontier is small it is a vector of node ids and the loop body runs on
 //! id vectors (*sparse rounds*, O(frontier) each), testing bits against
 //! the hoisted dense test registers and finding new nodes by test-and-set
@@ -38,11 +47,13 @@
 //! instead of O(height·n/64).
 //!
 //! Dispatch counters (`vm_closure_iters` counts rounds only,
-//! `vm_axis_closures` counts kernel runs) are accumulated in a local
+//! `vm_axis_closures` counts kernel runs, `vm_one_way_passes` automaton
+//! passes) are accumulated in a local
 //! `Stats` and flushed to the thread-local obs slots once per top-level
 //! evaluation, keeping the inner loop free of instrumentation cost (the
 //! overhead gate in ci.sh measures exactly this).
 
+use crate::oneway::Scratch;
 use crate::{AxisSet, Instr, Program, Reg};
 use twx_obs::{self as obs, Counter};
 use twx_regxpath::ast::Axis;
@@ -66,13 +77,15 @@ pub fn sparse_threshold(universe: usize) -> usize {
     universe / 128
 }
 
-/// A pool of recycled `NodeSet` registers, sparse-round id files and
-/// the interval stack of [`axis_closure`].
+/// A pool of recycled `NodeSet` registers, sparse-round id files, the
+/// interval stack of [`axis_closure`] and the per-node state masks of
+/// one-way passes.
 #[derive(Default)]
 pub struct Arena {
     pool: Vec<NodeSet>,
     sparse: Vec<SparseFile>,
     spans: Vec<(u32, u32)>,
+    one_way: Scratch,
 }
 
 impl Arena {
@@ -144,6 +157,7 @@ struct Stats {
     instrs: u64,
     closure_iters: u64,
     axis_closures: u64,
+    one_way_passes: u64,
     arena_allocs: u64,
     switches: u64,
     subtree_extractions: u64,
@@ -154,6 +168,7 @@ impl Stats {
         obs::add(Counter::VmInstructions, self.instrs);
         obs::add(Counter::VmClosureIters, self.closure_iters);
         obs::add(Counter::VmAxisClosures, self.axis_closures);
+        obs::add(Counter::VmOneWayPasses, self.one_way_passes);
         obs::add(Counter::VmArenaAllocs, self.arena_allocs);
         obs::add(Counter::FrontierSwitches, self.switches);
         obs::add(Counter::SubtreeExtractions, self.subtree_extractions);
@@ -242,6 +257,14 @@ fn exec_block(
                 let (d, s) = pair_mut(regs, dst, src);
                 closure_kernel(t, axes, s, d, &mut arena.spans);
                 stats.axis_closures += 1;
+            }
+            Instr::OneWayClosure { dst, src, auto } => {
+                // the pass reads `src` and the test registers, never `dst`
+                let mut d = std::mem::take(&mut regs[dst as usize]);
+                let auto = &prog.autos[auto as usize];
+                auto.run(t, &regs[src as usize], regs, &mut d, &mut arena.one_way);
+                regs[dst as usize] = d;
+                stats.one_way_passes += 1;
             }
             Instr::FilterJoin { dst, test } => {
                 let (d, s) = pair_mut(regs, dst, test);
@@ -786,12 +809,22 @@ mod tests {
                 "{q}"
             );
         }
+        // one-way bodies run one automaton pass, no loop either
+        for q in ["(down/down)*", "(down[b] | down[c])*", "(up[<down[c]>])*"] {
+            let prog = compile_path(&parse_rpath(q, &mut ab).unwrap());
+            assert_eq!(prog.blocks.len(), 1, "{q}");
+            assert!(
+                matches!(prog.blocks[0].last(), Some(Instr::OneWayClosure { .. })),
+                "{q}"
+            );
+        }
+        // bodies that move both ways run rounds
         for (q, sparse) in [
-            ("(down/down)*", true),
-            ("(down[b] | down[c])*", true),
-            ("(down[<down[c]>])*", true),
+            ("(down/up)*", true),
+            ("(down[b] | up[c])*", true),
+            ("(down[<down[c]>] | up)*", true),
             ("(down/right | up)*", true),
-            ("(down*/right)*", false),
+            ("(down*/up)*", false),
         ] {
             let prog = compile_path(&parse_rpath(q, &mut ab).unwrap());
             let body = prog.blocks[0]

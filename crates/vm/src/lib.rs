@@ -13,6 +13,7 @@
 //! img(A ∪ B, S)    = img(A,S) ∪ img(B,S)      → Union (in place)
 //! img(A*, S)       = least fixpoint ⊇ S       → Star (frontier closure)
 //! img((a|b|…)*, S) = the same, for bare axes  → AxisClosure (one pass)
+//! img(A*, S)       = the same, A one-way      → OneWayClosure (one pass)
 //! img(A[φ], S)     = img(A,S) ∩ ⟦φ⟧           → FilterJoin
 //! ```
 //!
@@ -37,8 +38,15 @@
 //!   one preorder interval per source when the set contains `down`, and
 //!   otherwise walks parent and sibling links with the accumulator as
 //!   its visited set. A closure over a deep tree then costs O(|S| + n)
-//!   link reads and O(n/64) word writes, not one round per level. Every
-//!   other `Star` body runs **hybrid rounds**: it iterates
+//!   link reads and O(n/64) word writes, not one round per level. A
+//!   star whose body's axis steps all move forward in document order
+//!   (`down`, `right`) or all backward (`up`, `left`) is
+//!   [`Instr::OneWayClosure`]: the star's walking automaton, compiled
+//!   to `u64` state masks, run in one preorder (or reverse preorder)
+//!   pass that jumps over what no walk reaches (see [`oneway`]). Every
+//!   other `Star` body — one that moves both ways, or whose automaton
+//!   has more than [`oneway::MAX_STATES`] states — runs **hybrid
+//!   rounds**: it iterates
 //!   `frontier → step` until a round finds nothing new; a small
 //!   frontier runs the loop body on node-id vectors (O(frontier) per
 //!   round), a large one on the dense registers, where folding `step`
@@ -51,9 +59,11 @@
 
 pub mod compile;
 pub mod interp;
+pub mod oneway;
 
 pub use compile::{compile_node, compile_path};
 pub use interp::{eval_image, eval_node_set, Arena};
+pub use oneway::OneWay;
 
 use twx_regxpath::ast::Axis;
 use twx_xtree::Label;
@@ -88,6 +98,9 @@ pub enum Instr {
     /// `dst ← src ∪ img((a₁ | … | aₖ)⁺, src)` for the axes in `axes` —
     /// a closure of bare axis steps, run as one kernel with no rounds.
     AxisClosure { dst: Reg, src: Reg, axes: AxisSet },
+    /// `dst ← img(A*, src)` for a star whose body moves one way only —
+    /// one pass of the automaton `Program::autos[auto]`, no rounds.
+    OneWayClosure { dst: Reg, src: Reg, auto: u16 },
     /// `dst ← dst ∩ test` — the relational filter-join (`A[φ]`, `?φ`).
     /// Semantically an intersect; a distinct opcode because `test` holds a
     /// hoisted, loop-invariant node-expression set.
@@ -114,11 +127,13 @@ pub enum Instr {
 ///
 /// `blocks[0]` is the main instruction sequence; further blocks are
 /// `Star` loop bodies sharing the same register file. `subs` are nested
-/// programs for `W` with their own (subtree-sized) register files.
+/// programs for `W` with their own (subtree-sized) register files, and
+/// `autos` the automata of the `OneWayClosure` instructions.
 #[derive(Clone, Debug)]
 pub struct Program {
     pub blocks: Vec<Vec<Instr>>,
     pub subs: Vec<Program>,
+    pub autos: Vec<OneWay>,
     pub n_regs: u16,
     pub out: Reg,
     fingerprint: u64,
@@ -131,6 +146,7 @@ impl Program {
     pub(crate) fn new(
         blocks: Vec<Vec<Instr>>,
         subs: Vec<Program>,
+        autos: Vec<OneWay>,
         n_regs: u16,
         out: Reg,
     ) -> Program {
@@ -150,6 +166,7 @@ impl Program {
         let mut p = Program {
             blocks,
             subs,
+            autos,
             n_regs,
             out,
             fingerprint: 0,
@@ -205,6 +222,10 @@ impl Program {
         for s in &self.subs {
             s.hash_into(h);
         }
+        h.u64(self.autos.len() as u64);
+        for a in &self.autos {
+            a.hash_into(|w| h.u64(w));
+        }
     }
 }
 
@@ -223,6 +244,7 @@ impl Instr {
             | Instr::Complement { dst }
             | Instr::AxisImage { dst, .. }
             | Instr::AxisClosure { dst, .. }
+            | Instr::OneWayClosure { dst, .. }
             | Instr::FilterJoin { dst, .. }
             | Instr::Star { dst, .. }
             | Instr::Within { dst, .. } => dst,
@@ -263,6 +285,9 @@ impl Instr {
             Instr::Within { dst, sub } => h.op(12, &[dst as u64, sub as u64]),
             Instr::AxisClosure { dst, src, axes } => {
                 h.op(13, &[dst as u64, src as u64, axes.0 as u64])
+            }
+            Instr::OneWayClosure { dst, src, auto } => {
+                h.op(14, &[dst as u64, src as u64, auto as u64])
             }
         }
     }
@@ -358,6 +383,11 @@ mod tests {
         assert_ne!(a.fingerprint(), c.fingerprint(), "labels must be hashed");
         let d = compile_path(&path(&mut ab, "up*[p0]"));
         assert_ne!(a.fingerprint(), d.fingerprint(), "axes must be hashed");
+        // one-way stars differing only in their automaton
+        let e = compile_path(&path(&mut ab, "(down/down)*"));
+        let f = compile_path(&path(&mut ab, "(down/down/down)*"));
+        assert_eq!(e.blocks, f.blocks, "same instructions");
+        assert_ne!(e.fingerprint(), f.fingerprint(), "automata must be hashed");
     }
 
     #[test]

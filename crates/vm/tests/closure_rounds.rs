@@ -1,17 +1,20 @@
 //! Seeded property suite for closures: whatever mix of sparse and dense
-//! rounds a `Star` takes, and whichever interval or link walk the
-//! `AxisClosure` kernel runs, the compiled program must agree with the
-//! `eval_naive` relational oracle; a round closure must count one
-//! closure iteration per round, an axis closure one kernel run and no
-//! rounds.
+//! rounds a `Star` takes, whichever interval or link walk the
+//! `AxisClosure` kernel runs, and whichever direction a one-way pass
+//! runs in, the compiled program must agree with the `eval_naive`
+//! relational oracle; a round closure must count one closure iteration
+//! per round, an axis closure one kernel run and no rounds, a one-way
+//! closure one automaton pass and no rounds.
 //!
 //! * **Shapes.** `Deep(1)` (a chain), `Deep(2)`, `Wide` and
 //!   `DocumentLike` trees.
 //! * **Body shapes.** All 15 non-empty unions of the four axes (the
-//!   `AxisClosure` kernel), and every other body the compiler emits:
-//!   `Seq`, `Union` with a non-axis side, a filter inside the body, a
-//!   `<…>` test inside the body, and a nested star, which must fall back
-//!   to dense rounds.
+//!   `AxisClosure` kernel); one-way bodies (`OneWayClosure`) forward
+//!   and backward, with tests, with a nested star, and on both sides of
+//!   the automaton's 64-state bound; and bodies that move both ways,
+//!   which run rounds: `Seq`, `Union` with a non-axis side, a filter
+//!   inside the body, a `<…>` test inside the body, and a nested star,
+//!   which must fall back to dense rounds.
 //! * **Thresholds.** Context sets are sized one below, at, and one above
 //!   the sparse bound `dense_threshold(n)` and the dense-to-sparse bound
 //!   `sparse_threshold(n)`, so the first round starts on either side of
@@ -26,7 +29,11 @@
 //!   kernel that did not skip covered sources, or a walk that did not
 //!   stop at present nodes, would read O(n²) links) and the deepest leaf
 //!   alone. The kernel must run within a constant factor of a pass that
-//!   reads `2n + |S|` links, the bound on its reads.
+//!   reads `2n + |S|` links, the bound on its reads. One-way passes on
+//!   the same chain, with full reach and with small reach from the root
+//!   and from the leaf, must run within a constant factor of reading
+//!   links at the nodes they answer and start from: a pass that swept
+//!   every node would not.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -35,7 +42,8 @@ use twx_regxpath::ast::Axis;
 use twx_regxpath::eval_naive::eval_rel_naive;
 use twx_regxpath::parser::parse_rpath;
 use twx_vm::interp::{axis_closure, dense_threshold, sparse_threshold};
-use twx_vm::{compile_path, eval_image, AxisSet};
+use twx_vm::oneway::MAX_STATES;
+use twx_vm::{compile_path, eval_image, AxisSet, Program};
 use twx_xtree::generate::{random_document_in, Shape};
 use twx_xtree::rng::{Rng, SplitMix64};
 use twx_xtree::{BitMatrix, Catalog, Document, NodeId, NodeSet, Tree};
@@ -47,14 +55,40 @@ const SHAPES: [Shape; 4] = [
     Shape::DocumentLike,
 ];
 
-/// Star bodies that still run rounds: one per shape of non-axis body
-/// the compiler emits.
+/// Star bodies that move both ways, so they still run rounds: one per
+/// shape of non-axis body the compiler emits.
 const ROUND_BODIES: [&str; 4] = [
-    "down/down",
+    "down/up",
     "down/right | up",
-    "down[b] | down[c]",
-    "down[<down[c]>]",
+    "down[b] | up[c]",
+    "down[<down[c]>] | left",
 ];
+
+/// Star bodies that move one way only, so they run one automaton pass:
+/// forward and backward, with label and `<…>` tests, with a nested
+/// star.
+const ONE_WAY_BODIES: [&str; 6] = [
+    "down/down",
+    "up/left",
+    "down[b] | right",
+    "up[<down[c]>]",
+    "down/(down[b])*",
+    "left/(up[a])*",
+];
+
+/// `k` `down` steps in sequence: a star over them has an automaton of
+/// `k + 1` states (`k` that a move leaves, plus the accepting state).
+fn down_steps(k: usize) -> String {
+    vec!["down"; k].join("/")
+}
+
+/// How the VM runs a star over a body.
+#[derive(Clone, Copy)]
+enum Run {
+    Kernel(AxisSet),
+    Pass,
+    Rounds,
+}
 
 /// Every non-empty union of the four axes, as `(set, body text)`.
 fn axis_bodies() -> Vec<(AxisSet, String)> {
@@ -71,10 +105,12 @@ fn axis_bodies() -> Vec<(AxisSet, String)> {
         .collect()
 }
 
-/// Whole queries for the mid-size trees: closures of round bodies and
-/// of axis unions, plus a nested star (dense rounds only), `<…>` tests
-/// over closures (the kernel with inverted axes), and stars in sequence.
-const QUERIES: [&str; 16] = [
+/// Whole queries for the mid-size trees: closures of axis unions, of
+/// one-way bodies (nested stars included) and of bodies that move both
+/// ways, plus a nested star in such a body (dense rounds only), `<…>`
+/// tests over closures (the kernel and the pass with inverted axes),
+/// and stars in sequence.
+const QUERIES: [&str; 20] = [
     "down*",
     "up*",
     "(down/down)*",
@@ -91,6 +127,10 @@ const QUERIES: [&str; 16] = [
     "down*[<(down | left)*[c]>]",
     "down*[<(right | up)*[d]>]",
     "(left | right)*[<(down | left | right)*[b]>]",
+    "(down/(right[b])*)*[c]",
+    "down*[<(up/left)*[d]>]",
+    "(left | up[<down[c]>])*",
+    "(up*/right)*",
 ];
 
 fn doc(shape: Shape, n: usize, rng: &mut SplitMix64) -> Document {
@@ -183,18 +223,23 @@ fn mid_size_trees_match_the_relational_oracle() {
 #[test]
 fn word_boundary_universes_match_the_naive_closure() {
     let mut rng = SplitMix64::seed_from_u64(0xB0D1E5);
-    let axis = axis_bodies();
-    let bodies = axis
-        .iter()
-        .map(|(axes, body)| (Some(*axes), body.as_str()))
-        .chain(ROUND_BODIES.iter().map(|&body| (None, body)));
-    let bodies: Vec<_> = bodies.collect();
+    let mut bodies: Vec<(Run, String)> = axis_bodies()
+        .into_iter()
+        .map(|(axes, body)| (Run::Kernel(axes), body))
+        .collect();
+    bodies.extend(ONE_WAY_BODIES.iter().map(|b| (Run::Pass, b.to_string())));
+    bodies.extend(ROUND_BODIES.iter().map(|b| (Run::Rounds, b.to_string())));
+    // the automaton's state bound: 63 and 64 states pass, 65 runs rounds
+    for k in [MAX_STATES - 2, MAX_STATES - 1] {
+        bodies.push((Run::Pass, down_steps(k)));
+    }
+    bodies.push((Run::Rounds, down_steps(MAX_STATES)));
     for shape in SHAPES {
         for words in [63, 64, 65] {
             let d = doc(shape, words * 64, &mut rng);
             let t = &d.tree;
             let ctxs = contexts(&d, &mut rng);
-            for &(axes, body) in &bodies {
+            for (run, body) in &bodies {
                 let mut ab = d.alphabet.clone();
                 let rel = eval_rel_naive(t, &parse_rpath(body, &mut ab).expect("body parses"));
                 let q = format!("({body})*");
@@ -211,14 +256,21 @@ fn word_boundary_universes_match_the_naive_closure() {
                     assert_eq!(got, expect, "{what}");
                     let iters = delta.get(Counter::VmClosureIters);
                     let kernels = delta.get(Counter::VmAxisClosures);
-                    if let Some(axes) = axes {
+                    let passes = delta.get(Counter::VmOneWayPasses);
+                    if let Run::Kernel(axes) = *run {
                         check_kernel(t, axes, ctx, &expect, &what);
-                        if obs::ENABLED {
-                            assert_eq!((kernels, iters), (1, 0), "{what}: one kernel run");
+                    }
+                    if obs::ENABLED {
+                        let counts = (kernels, passes, iters);
+                        match run {
+                            Run::Kernel(_) => assert_eq!(counts, (1, 0, 0), "{what}: one kernel"),
+                            Run::Pass => assert_eq!(counts, (0, 1, 0), "{what}: one pass"),
+                            Run::Rounds => assert_eq!(
+                                counts,
+                                (0, 0, rounds),
+                                "{what}: one closure iteration per round"
+                            ),
                         }
-                    } else if obs::ENABLED {
-                        assert_eq!(iters, rounds, "{what}: one closure iteration per round");
-                        assert_eq!(kernels, 0, "{what}: no kernel run");
                     }
                 }
             }
@@ -289,18 +341,18 @@ fn descendant_closure_of_a_chain_runs_the_kernel_once() {
     }
 }
 
-#[test]
-fn round_closure_of_a_chain_counts_one_iteration_per_round() {
+/// `(down/down)*`'s answer and counters from the root of chains; with
+/// `| left` added (which never moves on a chain) the body moves both
+/// ways and runs rounds.
+fn even_depths_of_a_chain(query: &str, check: impl Fn(usize, u64, &obs::Counters, &Program)) {
     let mut rng = SplitMix64::seed_from_u64(7);
-    // the chain crosses no threshold (one node per round, all sparse);
-    // the other accounting cases are pinned against the naive closure
     for n in [1, 2, 64, 5000] {
         let d = doc(Shape::Deep(1), n, &mut rng);
         let t = &d.tree;
         let depths = t.depths();
         let height = depths.iter().copied().max().expect("nonempty") as u64;
         assert_eq!(height, n as u64 - 1, "Deep(1) is a chain");
-        let prog = compile_path(&parse_rpath("(down/down)*", &mut d.alphabet.clone()).unwrap());
+        let prog = compile_path(&parse_rpath(query, &mut d.alphabet.clone()).unwrap());
         let ctx = NodeSet::singleton(n, t.root());
         let before = obs::snapshot();
         let out = eval_image(t, &prog, &ctx);
@@ -313,17 +365,93 @@ fn round_closure_of_a_chain_counts_one_iteration_per_round() {
             )
         );
         if obs::ENABLED {
-            // one round per two levels, plus the round that finds nothing
-            let iters = delta.get(Counter::VmClosureIters);
-            assert_eq!(iters, height / 2 + 1, "chain of {n}");
-            let main = prog.blocks[0].len() as u64;
-            let body = prog.blocks[1].len() as u64;
-            assert_eq!(
-                delta.get(Counter::VmInstructions),
-                main + iters * body,
-                "chain of {n}: one instruction per body instruction per round"
-            );
+            check(n, height, &delta, &prog);
         }
+    }
+}
+
+#[test]
+fn round_closure_of_a_chain_counts_one_iteration_per_round() {
+    // the chain crosses no threshold (one node per round, all sparse);
+    // the other accounting cases are pinned against the naive closure
+    even_depths_of_a_chain("(down/down | left)*", |n, height, delta, prog| {
+        // one round per two levels, plus the round that finds nothing
+        let iters = delta.get(Counter::VmClosureIters);
+        assert_eq!(iters, height / 2 + 1, "chain of {n}");
+        let main = prog.blocks[0].len() as u64;
+        let body = prog.blocks[1].len() as u64;
+        assert_eq!(
+            delta.get(Counter::VmInstructions),
+            main + iters * body,
+            "chain of {n}: one instruction per body instruction per round"
+        );
+    });
+}
+
+#[test]
+fn one_way_closure_of_a_chain_runs_one_pass() {
+    even_depths_of_a_chain("(down/down)*", |n, _, delta, prog| {
+        assert_eq!(delta.get(Counter::VmOneWayPasses), 1, "chain of {n}");
+        assert_eq!(delta.get(Counter::VmClosureIters), 0, "chain of {n}");
+        assert_eq!(
+            delta.get(Counter::VmInstructions),
+            prog.blocks[0].len() as u64,
+            "chain of {n}: each instruction once"
+        );
+    });
+}
+
+#[test]
+fn one_way_passes_on_a_chain_visit_only_what_they_reach() {
+    let mut rng = SplitMix64::seed_from_u64(0x1A55);
+    let d = doc(Shape::Deep(1), 5000, &mut rng);
+    let t = &d.tree;
+    let n = t.len();
+    let leaf = NodeSet::singleton(n, NodeId(n as u32 - 1));
+    let (root, all) = (NodeSet::singleton(n, t.root()), NodeSet::full(n));
+    // (body, context): full reach, and small reach from the root and
+    // from the leaf, in both directions (no node tests: loading a test
+    // register reads every label, which is not the pass's cost)
+    let cases = [
+        ("down/down", &all),
+        ("down/down", &root),
+        ("down/right", &root),
+        ("down/down", &leaf),
+        ("up/up", &all),
+        ("up/up", &leaf),
+        ("up/left", &leaf),
+        ("up/up", &root),
+    ];
+    let mut ab = d.alphabet.clone();
+    let identity = compile_path(&parse_rpath(".", &mut ab).unwrap());
+    for (body, ctx) in cases {
+        let rel = eval_rel_naive(t, &parse_rpath(body, &mut ab).expect("body parses"));
+        let prog = compile_path(&parse_rpath(&format!("({body})*"), &mut ab).unwrap());
+        assert_eq!(prog.autos.len(), 1, "({body})* is one pass");
+        let (expect, _) = naive_closure(&rel, ctx);
+        let what = format!("`({body})*` on a chain from {} nodes", ctx.count_ones());
+        assert_eq!(eval_image(t, &prog, ctx), expect, "{what}");
+        // an eval's fixed cost (register resets of n/64 words), plus
+        // link reads at the answer (twice) and at the sources
+        let fixed = min_nanos(|| {
+            black_box(eval_image(t, &identity, ctx));
+        });
+        let at: Vec<NodeId> = expect.iter().chain(&expect).chain(ctx).collect();
+        let links = min_nanos(|| {
+            for &v in &at {
+                black_box((t.next_sibling(v), t.parent(v)));
+            }
+        });
+        let pass = min_nanos(|| {
+            black_box(eval_image(t, &prog, ctx));
+        });
+        // a pass that swept all n nodes costs ~n link reads here, over
+        // 30x the bound when the reach is small
+        assert!(
+            pass <= 4 * fixed + 16 * links,
+            "{what}: the pass took {pass} ns, over 4x the {fixed} ns of an identity eval \
+             plus 16x the {links} ns of 2|answer| + |S| link reads"
+        );
     }
 }
 
@@ -335,7 +463,7 @@ fn closures_from_a_wide_root_switch_both_ways() {
     let mut rng = SplitMix64::seed_from_u64(11);
     let d = doc(Shape::Wide, 20_000, &mut rng);
     let t = &d.tree;
-    let prog = compile_path(&parse_rpath("(down/down)*", &mut d.alphabet.clone()).unwrap());
+    let prog = compile_path(&parse_rpath("(down/down | left)*", &mut d.alphabet.clone()).unwrap());
     let before = obs::snapshot();
     eval_image(t, &prog, &NodeSet::singleton(t.len(), t.root()));
     // the root's children overflow the first, sparse round (sparse →

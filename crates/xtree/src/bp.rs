@@ -3,7 +3,7 @@
 //! A sibling-ordered tree of `n` nodes is exactly a balanced string of
 //! `n` parenthesis pairs: emit `1` when a node opens and `0` when it
 //! closes, in document order. Two bits of structure per node — against
-//! the 24 bytes per node of the arena [`Tree`] (six `u32` link/label
+//! the 16 bytes per node of the arena [`Tree`] (four `u32` link/label
 //! arrays) this is the ~100× shape compression that lets the on-disk
 //! snapshot format of `twx-store` aim at 100M-node corpora, in the
 //! succinct-representation tradition (Jacobson bit-vectors with
@@ -283,10 +283,10 @@ impl Document {
     }
 }
 
-/// Resident bytes per node of the arena [`Tree`] representation: six
-/// `u32` columns (label + five links). The baseline the compact snapshot
+/// Resident bytes per node of the arena [`Tree`] representation: four
+/// `u32` columns (label + three links). The baseline the compact snapshot
 /// layout is measured against in E13.
-pub const ARENA_BYTES_PER_NODE: usize = 6 * 4;
+pub const ARENA_BYTES_PER_NODE: usize = 4 * 4;
 
 /// Approximate resident bytes per node of the compact layout for a tree
 /// of `n` nodes over a `palette_len`-label palette: 2 structure bits plus

@@ -27,7 +27,8 @@ const NONE: u32 = u32::MAX;
 pub struct TreeBuilder {
     labels: Vec<Label>,
     parent: Vec<u32>,
-    first_child: Vec<u32>,
+    /// Each open node's latest child, to link the next one to (not kept
+    /// by the finished tree).
     last_child: Vec<u32>,
     next_sib: Vec<u32>,
     prev_sib: Vec<u32>,
@@ -46,7 +47,6 @@ impl TreeBuilder {
         TreeBuilder {
             labels: Vec::with_capacity(n),
             parent: Vec::with_capacity(n),
-            first_child: Vec::with_capacity(n),
             last_child: Vec::with_capacity(n),
             next_sib: Vec::with_capacity(n),
             prev_sib: Vec::with_capacity(n),
@@ -72,15 +72,12 @@ impl TreeBuilder {
         };
         self.labels.push(label);
         self.parent.push(par);
-        self.first_child.push(NONE);
         self.last_child.push(NONE);
         self.next_sib.push(NONE);
         if par != NONE {
             let prev = self.last_child[par as usize];
             self.prev_sib.push(prev);
-            if prev == NONE {
-                self.first_child[par as usize] = id;
-            } else {
+            if prev != NONE {
                 self.next_sib[prev as usize] = id;
             }
             self.last_child[par as usize] = id;
@@ -130,14 +127,7 @@ impl TreeBuilder {
             "finish() with {} unclosed node(s)",
             self.stack.len()
         );
-        Tree::from_parts(
-            self.labels,
-            self.parent,
-            self.first_child,
-            self.last_child,
-            self.next_sib,
-            self.prev_sib,
-        )
+        Tree::from_parts(self.labels, self.parent, self.next_sib, self.prev_sib)
     }
 }
 

@@ -14,8 +14,9 @@ fn words_for(n: usize) -> usize {
     n.div_ceil(WORD)
 }
 
-/// A set of nodes of a tree with `universe` nodes, as a bitset.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// A set of nodes of a tree with `universe` nodes, as a bitset. The
+/// default is the empty set over no nodes.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct NodeSet {
     bits: Vec<u64>,
     universe: usize,
@@ -149,6 +150,16 @@ impl NodeSet {
         fresh
     }
 
+    /// Inserts the nodes `64·word + i` for every bit `i` set in `bits`
+    /// (which must lie inside the universe): a word of members at once.
+    #[inline]
+    pub fn insert_word(&mut self, word: usize, bits: u64) {
+        debug_assert!(
+            bits == 0 || word * WORD + (WORD - 1 - bits.leading_zeros() as usize) < self.universe
+        );
+        self.bits[word] |= bits;
+    }
+
     /// Removes `v`; returns whether it was present.
     #[inline]
     pub fn remove(&mut self, v: NodeId) -> bool {
@@ -274,6 +285,15 @@ impl NodeSet {
         }
     }
 
+    /// Iterates over members in decreasing id order.
+    pub fn iter_rev(&self) -> RevSetIter<'_> {
+        RevSetIter {
+            bits: &self.bits,
+            word_idx: self.bits.len(),
+            current: 0,
+        }
+    }
+
     /// The smallest member, if any.
     pub fn first(&self) -> Option<NodeId> {
         self.iter().next()
@@ -311,6 +331,28 @@ impl Iterator for SetIter<'_> {
         }
         let bit = self.current.trailing_zeros() as usize;
         self.current &= self.current - 1;
+        Some(NodeId((self.word_idx * WORD + bit) as u32))
+    }
+}
+
+/// Iterator over the members of a [`NodeSet`], largest id first.
+pub struct RevSetIter<'a> {
+    bits: &'a [u64],
+    /// The word `current` was taken from (`bits.len()` before the first).
+    word_idx: usize,
+    current: u64,
+}
+
+impl Iterator for RevSetIter<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        while self.current == 0 {
+            self.word_idx = self.word_idx.checked_sub(1)?;
+            self.current = self.bits[self.word_idx];
+        }
+        let bit = WORD - 1 - self.current.leading_zeros() as usize;
+        self.current &= !(1 << bit);
         Some(NodeId((self.word_idx * WORD + bit) as u32))
     }
 }
@@ -716,6 +758,18 @@ mod tests {
             assert_eq!(s.universe(), n);
             let want = (0..n as u32).filter(|&i| items[i as usize] == 2).map(nid);
             assert_eq!(s, NodeSet::from_iter(n, want), "assign_where over {n}");
+        }
+    }
+
+    #[test]
+    fn reverse_iteration_mirrors_forward() {
+        for n in [0, 1, 63, 64, 65, 129, 192] {
+            for stride in [1, 3, 64] {
+                let s = NodeSet::from_iter(n, (0..n as u32).step_by(stride).map(nid));
+                let mut want = s.to_vec();
+                want.reverse();
+                assert_eq!(s.iter_rev().collect::<Vec<_>>(), want, "{n}/{stride}");
+            }
         }
     }
 

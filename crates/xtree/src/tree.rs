@@ -43,17 +43,18 @@ fn opt(raw: u32) -> Option<NodeId> {
 /// Invariants:
 /// * non-empty: there is always a root, node `0`;
 /// * node ids are assigned in preorder (document order);
-/// * the five link arrays are mutually consistent.
+/// * the three link arrays are mutually consistent.
 ///
-/// Links are stored struct-of-arrays for cache locality; all navigation
-/// accessors are O(1). Depths are not stored: [`Tree::depth`] walks the
-/// parent links and [`Tree::depths`] computes them all in one pass.
+/// Links are stored struct-of-arrays for cache locality: a parent and
+/// both sibling links per node. A first child is not stored, since in
+/// preorder it is `v + 1` whenever that node's parent is `v`; navigation
+/// accessors are O(1) except [`Tree::last_child`], which follows the
+/// sibling chain. Depths are not stored either: [`Tree::depth`] walks
+/// the parent links and [`Tree::depths`] computes them all in one pass.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Tree {
     labels: Vec<Label>,
     parent: Vec<u32>,
-    first_child: Vec<u32>,
-    last_child: Vec<u32>,
     next_sib: Vec<u32>,
     prev_sib: Vec<u32>,
 }
@@ -64,8 +65,6 @@ impl Tree {
         Tree {
             labels: vec![label],
             parent: vec![NONE],
-            first_child: vec![NONE],
-            last_child: vec![NONE],
             next_sib: vec![NONE],
             prev_sib: vec![NONE],
         }
@@ -74,16 +73,12 @@ impl Tree {
     pub(crate) fn from_parts(
         labels: Vec<Label>,
         parent: Vec<u32>,
-        first_child: Vec<u32>,
-        last_child: Vec<u32>,
         next_sib: Vec<u32>,
         prev_sib: Vec<u32>,
     ) -> Self {
         let t = Tree {
             labels,
             parent,
-            first_child,
-            last_child,
             next_sib,
             prev_sib,
         };
@@ -138,13 +133,19 @@ impl Tree {
     /// The first (leftmost) child of `v`, if any.
     #[inline]
     pub fn first_child(&self, v: NodeId) -> Option<NodeId> {
-        opt(self.first_child[v.index()])
+        let c = v.0 + 1;
+        (self.parent.get(c as usize) == Some(&v.0)).then_some(NodeId(c))
     }
 
-    /// The last (rightmost) child of `v`, if any.
-    #[inline]
+    /// The last (rightmost) child of `v`, if any — O(#children): the
+    /// arena stores no last-child link, since the VM and the serving
+    /// path never ask for one.
     pub fn last_child(&self, v: NodeId) -> Option<NodeId> {
-        opt(self.last_child[v.index()])
+        let mut c = self.first_child(v)?;
+        while let Some(s) = self.next_sibling(c) {
+            c = s;
+        }
+        Some(c)
     }
 
     /// The next sibling of `v` (the `→` axis), if any.
@@ -189,7 +190,7 @@ impl Tree {
     /// Whether `v` has no children.
     #[inline]
     pub fn is_leaf(&self, v: NodeId) -> bool {
-        self.first_child[v.index()] == NONE
+        self.first_child(v).is_none()
     }
 
     /// Whether `v` is a first child (or the root).
@@ -265,21 +266,17 @@ impl Tree {
         };
         let mut labels = Vec::with_capacity(n);
         let mut parent = Vec::with_capacity(n);
-        let mut first_child = Vec::with_capacity(n);
-        let mut last_child = Vec::with_capacity(n);
         let mut next_sib = Vec::with_capacity(n);
         let mut prev_sib = Vec::with_capacity(n);
         for i in start..end {
             let i = i as usize;
             labels.push(self.labels[i]);
             parent.push(remap(self.parent[i]));
-            first_child.push(remap(self.first_child[i]));
-            last_child.push(remap(self.last_child[i]));
             // Siblings of v itself are outside the subtree; remap handles it.
             next_sib.push(remap(self.next_sib[i]));
             prev_sib.push(remap(self.prev_sib[i]));
         }
-        Tree::from_parts(labels, parent, first_child, last_child, next_sib, prev_sib)
+        Tree::from_parts(labels, parent, next_sib, prev_sib)
     }
 
     /// Checks all arena invariants; returns a description of the first
@@ -291,8 +288,6 @@ impl Tree {
         }
         let arrays = [
             ("parent", &self.parent),
-            ("first_child", &self.first_child),
-            ("last_child", &self.last_child),
             ("next_sib", &self.next_sib),
             ("prev_sib", &self.prev_sib),
         ];
@@ -321,27 +316,16 @@ impl Tree {
                     return Err(format!("parent {p:?} >= child {v:?} (not preorder)"));
                 }
             }
-            if let Some(c) = self.first_child(v) {
-                if self.parent(c) != Some(v) {
-                    return Err(format!("first_child link broken at {v:?}"));
+            // preorder: a child without a previous sibling is its
+            // parent's first, `parent + 1`, and the first child of a node
+            // has no previous sibling; so every child is on its parent's
+            // sibling chain
+            if let Some(p) = self.parent(v) {
+                if self.is_first_sibling(v) != (v.0 == p.0 + 1) {
+                    return Err(format!(
+                        "{v:?}: first child is not parent + 1 (not preorder)"
+                    ));
                 }
-                if c.0 != v.0 + 1 {
-                    return Err(format!("first child of {v:?} is not v+1 (not preorder)"));
-                }
-                if self.prev_sibling(c).is_some() {
-                    return Err(format!("first child {c:?} has a prev sibling"));
-                }
-            }
-            if let Some(c) = self.last_child(v) {
-                if self.parent(c) != Some(v) {
-                    return Err(format!("last_child link broken at {v:?}"));
-                }
-                if self.next_sibling(c).is_some() {
-                    return Err(format!("last child {c:?} has a next sibling"));
-                }
-            }
-            if self.first_child(v).is_some() != self.last_child(v).is_some() {
-                return Err(format!("first/last child mismatch at {v:?}"));
             }
             if let Some(s) = self.next_sibling(v) {
                 if self.prev_sibling(s) != Some(v) {

@@ -9,8 +9,9 @@
 //! `Wide` documents closures from the root grow past n/64 and shrink
 //! back; on the `Deep(2)` document a closure from every `b` node runs
 //! thousands of sparse rounds after a dense start. Closures of bare-axis unions (`down*`,
-//! `(up | down)*`, …) run one kernel and no rounds, so the switching
-//! check uses bodies that still need rounds.
+//! `(up | down)*`, …) run one kernel and closures of one-way bodies
+//! (`(down/down)*`, …) one automaton pass, neither with rounds, so the
+//! switching check uses bodies that move both ways.
 
 use treewalk::obs::{self, Counter};
 use treewalk::Engine;
@@ -28,11 +29,12 @@ const QUERIES: [&str; 6] = [
     "(left | right)*[c]",
 ];
 
-/// Closures whose bodies are not bare-axis unions, so they run rounds;
-/// the last one starts from every `b` node, a dense first round.
+/// Closures whose bodies move both ways (one-way bodies run one
+/// automaton pass), so they run rounds; the last one starts from every
+/// `b` node, a dense first round.
 const ROUND_QUERIES: [&str; 4] = [
-    "(down/down)*",
-    "(down[b] | down[c])*",
+    "(down/down | left)*",
+    "(down[b] | up[c])*",
     "(down/right | up)*",
     "down*[b]/(down/right | up)*",
 ];

@@ -123,6 +123,26 @@ fn explain_profiles_carry_backend_counters() {
     }
 }
 
+/// A star whose body moves one way only is one automaton pass: EXPLAIN
+/// shows `vm_one_way_passes` and no closure rounds, in both directions
+/// (`<…>` runs the converse, backward pass).
+#[test]
+fn explain_counts_one_way_passes() {
+    let d = doc();
+    let root = d.tree.root();
+    let engine = Engine::new();
+    for (q, result) in [("(down/down)*[c]", 1), ("down*[<(down/down)*[d]>]", 5)] {
+        let profile = engine.explain(&d, q, root).unwrap();
+        assert_eq!(profile.result_count, result, "{q}");
+        if !obs::ENABLED {
+            continue;
+        }
+        assert_eq!(profile.counters.get(Counter::VmOneWayPasses), 1, "{q}");
+        assert_eq!(profile.counters.get(Counter::VmClosureIters), 0, "{q}");
+        assert!(profile.to_text().contains("vm_one_way_passes"), "{q}");
+    }
+}
+
 /// Compilation happens once, at prepare time, through the plan cache: the
 /// first prepare is a cache miss, repeat prepares are hits, and
 /// evaluations through a `Prepared` value never compile.
