@@ -50,7 +50,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # the suite only ever grows: this many tests passed when the event-loop
 # serving PR landed; a silent drop below the floor means tests were
 # lost, not fixed
-TEST_FLOOR=593
+TEST_FLOOR=596
 
 say "test suite"
 test_log="$(mktemp -t twx_tests.XXXXXX.log)"
@@ -99,8 +99,13 @@ assert doc["replay_divergences"] == 0, doc
 routes = [r["route"] for r in doc["routes"]]
 assert routes == ["naive", "raw-product", "product", "automaton", "logic",
                   "vm-cold", "vm", "service"], routes
+# the gate reaches both star kernels: closure rounds and the one-way pass
+assert doc["vm_round_evals"] > 0, doc["vm_round_evals"]
+assert doc["vm_one_way_evals"] > 0, doc["vm_one_way_evals"]
 print("twx-fuzz: 300 iterations +", doc["replayed"],
-      "golden repros, 0 divergences across", len(doc["routes"]), "routes")
+      "golden repros, 0 divergences across", len(doc["routes"]), "routes;",
+      doc["vm_round_evals"], "vm evals ran rounds,", doc["vm_one_way_evals"],
+      "a one-way pass")
 EOF
 rm -f "$fuzz_out"
 
@@ -116,11 +121,12 @@ doc = json.load(open(sys.argv[1]))
 assert doc["schema"] == "twx-fuzz/1", doc.get("schema")
 assert doc["iterations"] == 100, doc["iterations"]
 assert doc["divergences"] == 0, doc
-# the gate reaches the one-way automaton pass, not only rounds
+# the gate reaches both star kernels: closure rounds and the one-way pass
+assert doc["vm_round_evals"] > 0, doc["vm_round_evals"]
 assert doc["vm_one_way_evals"] > 0, doc["vm_one_way_evals"]
 print("twx-fuzz --max-doc-nodes 130: 100 iterations, 0 divergences across",
-      len(doc["routes"]), "routes;", doc["vm_one_way_evals"],
-      "vm evals ran a one-way pass")
+      len(doc["routes"]), "routes;", doc["vm_round_evals"], "vm evals ran rounds,",
+      doc["vm_one_way_evals"], "a one-way pass")
 EOF
 rm -f "$big_fuzz_out"
 

@@ -337,7 +337,7 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
         "".into(),
     ]);
     table.note(
-        "live: versioned documents, hot Product engine, result cache invalidated by each edit's \
+        "live: versioned documents, plan-cached VM engine, result cache invalidated by each edit's \
          affected span; re-ingest: every edit rebuilds the corpus, every query compiles cold \
          with no result cache — identical op streams, identical answers",
     );

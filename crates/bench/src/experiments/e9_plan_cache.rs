@@ -3,7 +3,7 @@
 //!
 //! Documents are generated from one shared [`Catalog`], so a single
 //! compiled plan is exact for the whole corpus; the experiment measures
-//! what the plan cache (its `(catalog, text)` map in front of parse) buys
+//! what the plan cache (keyed by query text, in front of parse) buys
 //! when a query is served many times, and what `std::thread::scope` fan-out buys
 //! over a sequential loop.
 
@@ -54,7 +54,8 @@ pub fn run(cfg: &RunCfg) -> Table {
             }
         });
         // cached: one engine, every re-prepare after the first is a
-        // text hit that skips parse, simplify and unsat-pruning
+        // plan-cache hit that skips parse, simplify, unsat-pruning and
+        // compile
         let engine = Engine::new();
         let (_, cached_us) = time_us(|| {
             for i in 0..serves {
@@ -94,7 +95,7 @@ pub fn run(cfg: &RunCfg) -> Table {
         "-".into(),
     ]);
 
-    table.note("cold = fresh engine per serve (full pipeline); cached = one engine, so later serves are text hits (no parse, simplify or prune)");
+    table.note("cold = fresh engine per serve (full pipeline); cached = one engine, so later serves are plan-cache hits (no parse, simplify, prune or compile)");
     table
         .note("batch rows compare a sequential serve loop to Engine::query_batch (scoped threads)");
     table

@@ -37,6 +37,9 @@ pub struct Conformer {
     /// [`RouteId::Vm`] evaluations that ran at least one one-way
     /// automaton pass (`vm_one_way_passes`).
     vm_one_way_evals: u64,
+    /// [`RouteId::Vm`] evaluations that ran at least one closure round
+    /// (`vm_closure_iters`).
+    vm_round_evals: u64,
 }
 
 impl Conformer {
@@ -53,6 +56,7 @@ impl Conformer {
             fault,
             route_nanos: [0; RouteId::ALL.len()],
             vm_one_way_evals: 0,
+            vm_round_evals: 0,
         }
     }
 
@@ -75,6 +79,13 @@ impl Conformer {
     /// (zero when instrumentation is compiled out).
     pub fn vm_one_way_evals(&self) -> u64 {
         self.vm_one_way_evals
+    }
+
+    /// How many [`RouteId::Vm`] evaluations so far ran closure rounds —
+    /// the kernel of stars whose bodies move both ways (zero when
+    /// instrumentation is compiled out).
+    pub fn vm_round_evals(&self) -> u64 {
+        self.vm_round_evals
     }
 
     /// Evaluates `query` on `doc` through every route. Returns
@@ -130,8 +141,9 @@ impl Conformer {
             });
             let delta = obs::delta_since(&before);
             self.route_nanos[route.index()] += delta.get(Counter::EvalNanos);
-            if route == RouteId::Vm && delta.get(Counter::VmOneWayPasses) > 0 {
-                self.vm_one_way_evals += 1;
+            if route == RouteId::Vm {
+                self.vm_one_way_evals += u64::from(delta.get(Counter::VmOneWayPasses) > 0);
+                self.vm_round_evals += u64::from(delta.get(Counter::VmClosureIters) > 0);
             }
             if let (Some(f), Ok(a)) = (&self.fault, &mut answer) {
                 if f.route == route {
@@ -273,6 +285,11 @@ mod tests {
             r.unwrap().describe()
         );
         assert_eq!(conf.vm_one_way_evals(), u64::from(twx_obs::ENABLED));
+        // and a body that steps both ways runs rounds
+        let rounds = conf.vm_round_evals();
+        let r = conf.check("(down[a]/up)*", &d, 7).unwrap();
+        assert!(r.is_none(), "unexpected divergence");
+        assert_eq!(conf.vm_round_evals(), rounds + u64::from(twx_obs::ENABLED));
     }
 
     #[test]

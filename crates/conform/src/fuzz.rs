@@ -86,6 +86,8 @@ pub struct FuzzReport {
     pub route_nanos: Vec<(RouteId, u64)>,
     /// VM-route evaluations that ran a one-way automaton pass.
     pub vm_one_way_evals: u64,
+    /// VM-route evaluations that ran closure rounds.
+    pub vm_round_evals: u64,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
 }
@@ -127,6 +129,7 @@ impl FuzzReport {
             .field("shrink_steps", self.shrink_steps)
             .field("elapsed_ms", self.elapsed.as_millis() as u64)
             .field("routes", Json::Arr(routes))
+            .field("vm_round_evals", self.vm_round_evals)
             .field("vm_one_way_evals", self.vm_one_way_evals)
             .field("found", Json::Arr(divergences))
     }
@@ -172,6 +175,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
         shrink_steps: 0,
         route_nanos: Vec::new(),
         vm_one_way_evals: 0,
+        vm_round_evals: 0,
         elapsed: Duration::ZERO,
     };
 
@@ -215,6 +219,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
 
     report.route_nanos = conf.route_nanos();
     report.vm_one_way_evals = conf.vm_one_way_evals();
+    report.vm_round_evals = conf.vm_round_evals();
     report.elapsed = started.elapsed();
     report
 }
@@ -243,6 +248,7 @@ mod tests {
         assert!(json.contains("\"schema\":\"twx-fuzz/1\""));
         assert!(json.contains("\"divergences\":0"));
         assert!(json.contains("\"vm_one_way_evals\":"));
+        assert!(json.contains("\"vm_round_evals\":"));
     }
 
     #[test]

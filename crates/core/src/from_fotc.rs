@@ -60,33 +60,33 @@ pub fn binary_to_rpath(phi: &Formula, x: Var, y: Var) -> Result<RPath, NotGuarde
             Ok(anywhere())
         }
         Formula::Or(f, g) => Ok(binary_to_rpath(f, x, y)?.union(binary_to_rpath(g, x, y)?)),
-        Formula::And(f, g) => {
-            // guarded conjunction: one side must be unary
-            let fv_f = f.free_vars();
-            let fv_g = g.free_vars();
-            let unary_f = fv_f.len() <= 1;
-            let unary_g = fv_g.len() <= 1;
-            if unary_f {
-                let on = fv_f.first().copied().unwrap_or(x);
-                let guard = unary_to_rnode(f, on)?;
-                let rest = binary_to_rpath(g, x, y)?;
-                return Ok(if on == x {
-                    RPath::test(guard).seq(rest)
-                } else {
-                    rest.filter(guard)
-                });
-            }
-            if unary_g {
-                let on = fv_g.first().copied().unwrap_or(y);
+        Formula::And(..) => {
+            // guarded conjunction: every conjunct but at most one is
+            // unary, a guard on the variable it mentions; the grouping of
+            // the conjuncts does not matter
+            let mut conjuncts = Vec::new();
+            flatten_and(phi, &mut conjuncts);
+            let (binary, guards): (Vec<_>, Vec<_>) =
+                conjuncts.into_iter().partition(|c| c.free_vars().len() > 1);
+            let mut path = match binary[..] {
+                [] => anywhere(),
+                [core] => binary_to_rpath(core, x, y)?,
+                _ => {
+                    return reject(
+                        "conjunction of two genuinely binary formulas (needs intersection)",
+                    )
+                }
+            };
+            for g in guards {
+                let on = g.free_vars().first().copied().unwrap_or(x);
                 let guard = unary_to_rnode(g, on)?;
-                let rest = binary_to_rpath(f, x, y)?;
-                return Ok(if on == x {
-                    RPath::test(guard).seq(rest)
+                path = if on == x {
+                    RPath::test(guard).seq(path)
                 } else {
-                    rest.filter(guard)
-                });
+                    path.filter(guard)
+                };
             }
-            reject("conjunction of two genuinely binary formulas (needs intersection)")
+            Ok(path)
         }
         Formula::Exists(z, f) => {
             // path composition: f must split as f1(x,z) ∧ f2(z,y)
@@ -122,6 +122,17 @@ pub fn binary_to_rpath(phi: &Formula, x: Var, y: Var) -> Result<RPath, NotGuarde
 }
 
 /// `(↑ ∪ ↓ ∪ ← ∪ →)*` — the total relation (trees are connected).
+/// The conjuncts of `f`, however its `∧`s are nested.
+fn flatten_and<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
+    match f {
+        Formula::And(a, b) => {
+            flatten_and(a, out);
+            flatten_and(b, out);
+        }
+        _ => out.push(f),
+    }
+}
+
 fn anywhere() -> RPath {
     RPath::Axis(Axis::Up)
         .union(RPath::Axis(Axis::Down))
@@ -140,23 +151,15 @@ fn split_composition(
 ) -> Result<(Formula, Formula), NotGuarded> {
     let mut left: Option<Formula> = None;
     let mut right: Option<Formula> = None;
-    let mut stack = vec![f.clone()];
     let mut conjuncts = Vec::new();
-    while let Some(g) = stack.pop() {
-        if let Formula::And(a, b) = g {
-            stack.push(*a);
-            stack.push(*b);
-        } else {
-            conjuncts.push(g);
-        }
-    }
+    flatten_and(f, &mut conjuncts);
     for c in conjuncts {
         let fv = c.free_vars();
         let mentions_y = fv.contains(&y) && y != z && y != x;
         let target = if mentions_y { &mut right } else { &mut left };
         *target = Some(match target.take() {
-            Some(old) => old.and(c),
-            None => c,
+            Some(old) => old.and(c.clone()),
+            None => c.clone(),
         });
     }
     let l = left.unwrap_or(Formula::Eq(x, x));
@@ -245,6 +248,26 @@ mod tests {
                 eval_binary(t, &f, 0, 1),
                 "{t:?}"
             );
+        }
+    }
+
+    /// `?(true)[true and a]/right[a][b]`: its formula's composition
+    /// splits into a left half that mixes a unary guard on each variable
+    /// with the binary core, and the guards must peel off around the core
+    /// however the split regroups them.
+    #[test]
+    fn regrouped_guards_translate() {
+        let (a, b) = (
+            RNode::Label(twx_xtree::Label(0)),
+            RNode::Label(twx_xtree::Label(1)),
+        );
+        let q = RPath::test(RNode::True)
+            .filter(RNode::True.and(a.clone()))
+            .seq(RPath::Axis(Axis::Right).filter(a).filter(b));
+        let f = rpath_to_formula(&q, 0, 1, 2);
+        let p = binary_to_rpath(&f, 0, 1).unwrap();
+        for t in &enumerate_trees_up_to(4, 2) {
+            assert_eq!(twx_regxpath::eval_rel(t, &p), twx_regxpath::eval_rel(t, &q));
         }
     }
 

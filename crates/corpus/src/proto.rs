@@ -12,12 +12,10 @@
 //! `overloaded` | `shutdown` | `engine` | `protocol` — and never cost
 //! the connection.
 //!
-//! Queries are validated **read-only** against the corpus alphabet
-//! before submission: `prepare_in` would intern unknown labels into the
-//! shared catalog, and a network client must not be able to grow the
-//! server's label space — it gets a typed `engine` error instead. A text
-//! the engine has already prepared skips that parse: it resolved
-//! against the catalog once, so it mentions no unknown label.
+//! Queries and edits resolve labels **read-only** against the corpus
+//! label space, so a network client can never grow it: a query naming an
+//! unknown label, like one that does not parse, gets a typed `engine`
+//! error from the service's prepare and is not counted as submitted.
 
 use crate::service::{CorpusAnswer, QueryService, ServiceError, ServiceStats};
 use crate::store::{Corpus, DocId};
@@ -26,7 +24,6 @@ use std::time::{Duration, Instant};
 use twx_netio::{NetStats, Reply};
 use twx_obs::json::{parse as parse_json, Json};
 use twx_obs::metrics::Gauge;
-use twx_regxpath::parser::parse_rpath_resolved;
 use twx_xtree::edit::Edit;
 use twx_xtree::{Alphabet, NodeId};
 
@@ -112,7 +109,7 @@ fn answer_line(a: &CorpusAnswer) -> String {
 
 /// Parses the `edit` object of an `update` request into a typed
 /// [`Edit`], resolving the label **read-only** against the corpus
-/// alphabet (unknown labels are an error, never an intern).
+/// label space (unknown labels are an error, never an intern).
 fn parse_edit(req: &Json, alphabet: &Alphabet) -> Result<Edit, String> {
     let edit = get(req, "edit").ok_or("update op needs an `edit` object")?;
     let kind = get_str(edit, "op").ok_or("edit needs an `op` string")?;
@@ -173,7 +170,6 @@ fn slowlog_line(service: &QueryService) -> String {
 /// tests and benches.
 pub struct ProtoHandler {
     service: QueryService,
-    alphabet: Alphabet,
     started: Instant,
     net: Arc<NetStats>,
     max_conns: usize,
@@ -191,11 +187,9 @@ impl ProtoHandler {
     /// block shared with the event loop; `max_conns` is reported in
     /// `stats` (admission itself lives in the loop).
     pub fn new(service: QueryService, net: Arc<NetStats>, max_conns: usize) -> ProtoHandler {
-        let alphabet = service.corpus().catalog().snapshot();
         let reg = twx_obs::metrics::global();
         ProtoHandler {
             service,
-            alphabet,
             started: Instant::now(),
             net,
             max_conns,
@@ -294,7 +288,8 @@ impl ProtoHandler {
         let Some(doc) = get_u64(req, "doc") else {
             return err_line("protocol", "update op needs a `doc` id");
         };
-        let edit = match parse_edit(req, &self.alphabet) {
+        let catalog = self.service.corpus().catalog();
+        let edit = match catalog.with_read(|labels| parse_edit(req, labels)) {
             Ok(e) => e,
             Err(msg) => return err_line("protocol", &msg),
         };
@@ -318,13 +313,6 @@ impl ProtoHandler {
         let Some(q) = get_str(req, "query") else {
             return err_line("protocol", "query op needs a `query` string");
         };
-        // a text the engine already prepared resolved against this
-        // catalog, so it cannot intern; only new texts need the check
-        if !self.service.has_prepared(q) {
-            if let Err(e) = parse_rpath_resolved(q, &self.alphabet) {
-                return err_line("engine", &e.to_string());
-            }
-        }
         let timeout = get_u64(req, "timeout_ms").map(Duration::from_millis);
         let outcome = if get_bool(req, "trace") {
             self.service.query_traced_with_timeout(q, timeout)
@@ -417,9 +405,10 @@ mod tests {
         String::from_utf8(handler.handle(request.as_bytes()).payload).unwrap()
     }
 
-    /// Unknown labels are refused before submission and never interned,
-    /// however often they are sent; a repeat of a served text is a
-    /// text-map hit.
+    /// Unknown labels are refused by the service's read-only prepare and
+    /// never interned, however often they are sent; a repeat of a served
+    /// text is a plan-cache hit, and only healthy queries count as
+    /// submitted.
     #[test]
     fn unknown_labels_never_grow_the_catalog() {
         let catalog = Arc::new(Catalog::from_names(["a", "b"]));
@@ -442,7 +431,8 @@ mod tests {
         }
         assert_eq!(catalog.len(), 2);
         let stats = handler.service().cache_stats();
-        assert_eq!((stats.prepare_hits, stats.prepare_misses), (1, 1));
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(handler.service().stats().submitted, 2);
         handler.finish();
     }
 }

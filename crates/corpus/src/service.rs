@@ -5,9 +5,11 @@
 //! # Lifecycle of a request
 //!
 //! 1. [`QueryService::submit`] compiles the query once through
-//!    [`Engine::prepare_in`] against the corpus catalog — the plan
-//!    cache's text map makes a repeat query text a lookup — and fans
-//!    the `Arc<Prepared>` plan into one work item per shard.
+//!    [`Engine::prepare_in`], read-only against the corpus catalog — a
+//!    repeat query text is a plan-cache lookup, and a text naming a label
+//!    the catalog lacks fails with [`ServiceError::Engine`] before it is
+//!    counted as submitted — and fans the `Arc<Prepared>` plan into one
+//!    work item per shard.
 //! 2. **Admission** is all-or-nothing and non-blocking: if the bounded
 //!    queue cannot take the whole fan-out, the request is rejected with
 //!    [`ServiceError::Overloaded`] (counted as `corpus_rejected`) rather
@@ -176,7 +178,7 @@ pub struct CorpusAnswer {
 /// Point-in-time service statistics (atomics, no locks).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Requests submitted (admitted or not).
+    /// Requests whose query compiled, admitted or not.
     pub submitted: u64,
     /// Requests fully aggregated by a waiter.
     pub completed: u64,
@@ -497,8 +499,6 @@ impl QueryService {
         timeout: Option<Duration>,
         traced: bool,
     ) -> Result<Ticket, ServiceError> {
-        obs::incr(Counter::CorpusRequests);
-        self.stats.submitted.fetch_add(1, Ordering::Relaxed);
         let trace_id = TraceId::next();
         // capture the compile side of the pipeline as its own subtree;
         // its offsets (and the workers') are all relative to this instant
@@ -518,6 +518,8 @@ impl QueryService {
         } else {
             None
         };
+        obs::incr(Counter::CorpusRequests);
+        self.stats.submitted.fetch_add(1, Ordering::Relaxed);
         let now = Instant::now();
         let deadline = timeout.map(|t| now + t);
         let n = self.corpus.n_shards();
@@ -642,12 +644,6 @@ impl QueryService {
             queue_capacity: self.queue.capacity(),
             workers: self.workers.len(),
         }
-    }
-
-    /// Whether `query` was already prepared against the corpus catalog
-    /// (see [`Engine::has_prepared`]): a probe that interns nothing.
-    pub fn has_prepared(&self, query: &str) -> bool {
-        self.engine.has_prepared(self.corpus.catalog(), query)
     }
 
     /// Plan-cache statistics of the engine the service compiles through.

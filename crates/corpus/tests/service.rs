@@ -304,10 +304,10 @@ fn traced_queries_match_untraced_and_span_the_request() {
         assert!(shard.start_ns <= tree.root.dur_ns);
     }
     // the plain run prepared this text, so the traced prepare is a
-    // text hit: nothing is parsed, simplified or compiled
+    // plan-cache hit: nothing is parsed, simplified or compiled
     let prepare = &tree.root.children[0];
     assert!(prepare.children.is_empty(), "{:?}", prepare.children);
-    assert_eq!(prepare.counters.get(Counter::PrepareCacheHits), 1);
+    assert_eq!(prepare.counters.get(Counter::PlanCacheHits), 1);
     // a text the engine has not seen names every pipeline stage
     let cold = service.query_traced("down*[c]").unwrap();
     let prepare = &cold.trace.expect("traced").root.children[0];

@@ -113,21 +113,14 @@ counters! {
     SubtreeExtractions => "subtree_extractions",
     /// `BitMatrix` cells written while materialising binary relations.
     BitMatrixCells => "bitmatrix_cells",
-    /// Engine plan-cache lookups that found an already-compiled plan for
-    /// the canonical query.
+    /// Engine prepares answered by the plan cache: the query text was
+    /// prepared before under the same label bindings, so parse,
+    /// simplify, unsat-pruning and compile were all skipped.
     PlanCacheHits => "plan_cache_hits",
-    /// Engine plan-cache lookups that had to compile a fresh plan.
+    /// Engine prepares that had to compile a fresh plan.
     PlanCacheMisses => "plan_cache_misses",
     /// Plans evicted from the engine plan cache (FIFO, capacity bound).
     PlanCacheEvictions => "plan_cache_evictions",
-    /// `prepare_in` calls answered by the plan cache's text map: the
-    /// `(catalog, query text)` pair was prepared before, so parse,
-    /// simplify and unsat-pruning were all skipped. Each also counts as
-    /// a plan-cache hit.
-    PrepareCacheHits => "prepare_cache_hits",
-    /// `prepare_in` calls whose text was not in the text map and ran
-    /// the full pipeline.
-    PrepareCacheMisses => "prepare_cache_misses",
     /// Fixpoint passes performed by the mandatory `simplify_rpath` /
     /// `simplify_rnode` pipeline stage.
     SimplifyPasses => "simplify_passes",

@@ -42,8 +42,29 @@ pub fn random_rpath<R: Rng>(cfg: &RGenConfig, depth: usize, rng: &mut R) -> RPat
         3 => RPath::test(random_rnode(cfg, depth - 1, rng)),
         4 | 5 => random_rpath(cfg, depth - 1, rng).seq(random_rpath(cfg, depth - 1, rng)),
         6 => random_rpath(cfg, depth - 1, rng).union(random_rpath(cfg, depth - 1, rng)),
-        7 if cfg.stars => random_rpath(cfg, depth - 1, rng).star(),
+        7 if cfg.stars => random_rpath(&star_body_config(cfg, rng), depth - 1, rng).star(),
         _ => random_rpath(cfg, depth - 1, rng).filter(random_rnode(cfg, depth - 1, rng)),
+    }
+}
+
+/// A star body's configuration: with equal odds all of `cfg`'s axes, its
+/// forward ones (`down`, `right`) or its backward ones (`up`, `left`), so
+/// stars the VM runs as one-way passes are drawn on purpose, not only by
+/// chance.
+fn star_body_config<R: Rng>(cfg: &RGenConfig, rng: &mut R) -> RGenConfig {
+    let forward = |a: &Axis| matches!(a, Axis::Down | Axis::Right);
+    let axes: Vec<Axis> = match rng.gen_range(0..3) {
+        0 => cfg.axes.clone(),
+        1 => cfg.axes.iter().copied().filter(forward).collect(),
+        _ => cfg.axes.iter().copied().filter(|a| !forward(a)).collect(),
+    };
+    RGenConfig {
+        axes: if axes.is_empty() {
+            cfg.axes.clone()
+        } else {
+            axes
+        },
+        ..cfg.clone()
     }
 }
 

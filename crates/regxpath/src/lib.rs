@@ -44,7 +44,7 @@ pub use eval::{eval_image, eval_node, eval_preimage, eval_rel, query};
 pub use eval_naive::{eval_node_naive, eval_rel_naive};
 pub use nfa::{Nfa, PathNfa};
 pub use parser::{
-    parse_rnode, parse_rnode_catalog, parse_rnode_resolved, parse_rpath, parse_rpath_catalog,
-    parse_rpath_resolved, ResolveError,
+    parse_rnode, parse_rnode_catalog, parse_rnode_resolved, parse_rpath, parse_rpath_bound,
+    parse_rpath_catalog, parse_rpath_resolved, ResolveError,
 };
 pub use simplify::{simplify_rnode, simplify_rpath};

@@ -181,7 +181,7 @@ impl Program {
     /// Stable 64-bit FNV-1a fingerprint of the instruction encoding
     /// (including nested sub-programs). Identical plans — even compiled in
     /// different processes — fingerprint identically, so the value is a
-    /// sound plan-cache/result-cache key component.
+    /// sound result-cache key component.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }

@@ -30,20 +30,13 @@
 
 use crate::alphabet::{Alphabet, Label};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 /// A thread-safe, append-only label interner shared between documents
 /// and queries (see the [module docs](self)).
+#[derive(Default)]
 pub struct Catalog {
-    id: u64,
     inner: RwLock<Alphabet>,
-}
-
-impl Default for Catalog {
-    fn default() -> Self {
-        Catalog::from_alphabet(Alphabet::default())
-    }
 }
 
 impl Catalog {
@@ -54,21 +47,9 @@ impl Catalog {
 
     /// Wraps an existing alphabet (its labels keep their indices).
     pub fn from_alphabet(alphabet: Alphabet) -> Self {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Catalog {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             inner: RwLock::new(alphabet),
         }
-    }
-
-    /// An identity unique among all catalogs this process creates (a
-    /// clone is a new catalog and gets a new id). Because the catalog is
-    /// append-only, a query text that resolved against it once resolves
-    /// to the same labels forever, so `(id, text)` can key compiled
-    /// plans. Unlike the catalog's address, an id is never reused after
-    /// a drop.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// A catalog seeded with names in order (see [`Alphabet::from_names`]).
@@ -209,7 +190,11 @@ mod tests {
         c.intern("y");
         assert_eq!(fork.len(), 1);
         assert_eq!(c.len(), 2);
-        assert_ne!(fork.id(), c.id(), "a fork is a new identity");
-        assert_ne!(Catalog::new().id(), Catalog::new().id());
+        assert_eq!(fork.lookup("x"), c.lookup("x"), "labels keep their indices");
+        assert_eq!(
+            fork.lookup("y"),
+            None,
+            "the fork does not see later interns"
+        );
     }
 }

@@ -36,7 +36,10 @@ const QUERIES: [&str; 3] = [
 const N_DOCS: usize = 24;
 const DOC_SIZE: usize = 400;
 const ROUNDS: usize = 7;
-const REPS_PER_ROUND: usize = 3;
+// enough passes that one round takes a few milliseconds: a round of
+// only a quarter millisecond is within reach of a single scheduler
+// hiccup or timer tick, which the min-of-rounds cannot always outrun
+const REPS_PER_ROUND: usize = 48;
 
 fn main() {
     let catalog = Arc::new(Catalog::from_names(["a", "b", "c", "d"]));

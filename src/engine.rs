@@ -1,21 +1,20 @@
 //! A document-level query engine over the bytecode VM.
 //!
 //! [`Engine`] compiles Regular XPath(W) queries through a staged pipeline
-//! — parse → simplify → plan-cache lookup → VM compile — and evaluates
-//! the resulting [`twx_vm::Program`]. Against a shared [`Catalog`], a
-//! query text prepared before skips the pipeline: the plan cache also
-//! maps `(catalog, text)` to its simplified AST and program. The paper's
-//! three equivalent constructions (the NFA-product evaluator, the nested
-//! tree walking automaton, and the FO(MTC) model checker) are not
-//! serving options: they are the reference translations the conformance
-//! harness checks the VM against, reachable from any [`Prepared::path`].
+//! — plan-cache probe → parse → simplify → VM compile — and evaluates
+//! the resulting [`twx_vm::Program`]. The paper's three equivalent
+//! constructions (the NFA-product evaluator, the nested tree walking
+//! automaton, and the FO(MTC) model checker) are not serving options:
+//! they are the reference translations the conformance harness checks
+//! the VM against, reachable from any [`Prepared::path`].
 //!
-//! Compilation is decoupled from documents: queries resolve against a
-//! document's alphabet (or a shared, append-only
-//! [`Catalog`]) without mutating it, compiled plans
-//! live in a concurrent plan cache shared by every clone of the engine,
-//! and [`Engine`]/[`Prepared`] are `Send + Sync`, so one prepared query
-//! can serve many threads and many documents over the same label space.
+//! Compilation is decoupled from documents: queries resolve **read-only**
+//! against a document's alphabet or a shared, append-only [`Catalog`]
+//! (an unknown label is [`EngineError::UnknownLabel`], never an intern),
+//! a plan cache keyed by query text is shared by every clone of the
+//! engine, and [`Engine`]/[`Prepared`] are `Send + Sync`, so one
+//! prepared query can serve many threads and many documents over the
+//! same label space.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -24,19 +23,19 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use twx_obs::{self as obs, AtomicHistogram, CompiledSizes, Counter, QueryProfile, SpanTree};
-use twx_regxpath::parser::{parse_rpath_catalog, parse_rpath_resolved, ResolveError};
+use twx_regxpath::parser::{parse_rpath_bound, ResolveError};
 use twx_regxpath::{simplify_rpath, RPath};
 use twx_vm::Program;
 use twx_xtree::edit::{DocVersion, Span};
-use twx_xtree::{Catalog, Document, NodeId, NodeSet};
+use twx_xtree::{Alphabet, Catalog, Document, Label, NodeId, NodeSet};
 
 /// The process-wide eval-latency histogram, registered in the global
 /// [`obs::metrics`] registry as `twx_engine_eval_ns`. Every [`Prepared`]
 /// records into the same handle, so the `metrics` exposition shows the
 /// full eval-latency distribution.
-fn eval_histogram() -> Arc<AtomicHistogram> {
+fn eval_histogram() -> &'static AtomicHistogram {
     static HANDLE: OnceLock<Arc<AtomicHistogram>> = OnceLock::new();
-    Arc::clone(HANDLE.get_or_init(|| obs::metrics::global().histogram("twx_engine_eval_ns", &[])))
+    HANDLE.get_or_init(|| obs::metrics::global().histogram("twx_engine_eval_ns", &[]))
 }
 
 /// An error from [`Engine::query`].
@@ -58,10 +57,7 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Syntax(e) => write!(f, "{e}"),
             EngineError::UnknownLabel { label } => {
-                write!(
-                    f,
-                    "unknown label '{label}': not in the document's label space"
-                )
+                write!(f, "unknown label '{label}': not in the label space")
             }
         }
     }
@@ -81,76 +77,58 @@ impl From<ResolveError> for EngineError {
 /// Point-in-time statistics of an engine's plan cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Prepares answered without compiling: a text-map hit or a
-    /// plan-map hit.
+    /// Prepares answered from the cache: nothing parsed or compiled.
     pub hits: u64,
-    /// Lookups that had to compile.
+    /// Prepares that had to compile.
     pub misses: u64,
-    /// Plans displaced by the FIFO capacity bound.
+    /// Texts displaced by the FIFO capacity bound.
     pub evictions: u64,
-    /// Plans currently resident.
+    /// Texts currently resident.
     pub entries: usize,
-    /// Maximum resident plans (and, separately, texts) before eviction.
+    /// Maximum resident texts before eviction.
     pub capacity: usize,
-    /// [`Engine::prepare_in`] calls answered from the text map (also
-    /// counted in `hits`).
-    pub prepare_hits: u64,
-    /// [`Engine::prepare_in`] calls that ran the full pipeline.
-    pub prepare_misses: u64,
 }
 
-/// Default number of resident plans before FIFO eviction.
+/// Default number of resident texts before FIFO eviction.
 const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-/// A concurrent, bounded plan cache.
+/// What one query text prepared to. Every [`Prepared`] served from the
+/// text shares it, so a cache hit copies no AST and no string.
+#[derive(Debug)]
+struct Parts {
+    text: String,
+    /// Each label name the text mentions, with the label it resolved to
+    /// (see [`parse_rpath_bound`]).
+    bindings: Vec<(String, Label)>,
+    raw_size: usize,
+    path: RPath,
+    plan: Arc<Program>,
+}
+
+/// A concurrent plan cache: one map from query text to its [`Parts`],
+/// holding at most `capacity` texts with FIFO eviction.
 ///
-/// Two maps, each holding at most `capacity` entries with FIFO eviction:
-///
-/// - the **plan map**, keyed by the simplified query AST. Labels inside
-///   the AST are numeric ids, so a cached plan is exact for any document
-///   whose alphabet assigns those ids the same way — i.e. documents
-///   sharing a [`Catalog`];
-/// - the **text map**, keyed by `(catalog id, query text)` and holding
-///   what [`Engine::prepare_in`] derived from that text: the simplified
-///   AST and its plan. A catalog is append-only, so a text that resolved
-///   against it once resolves to the same label ids forever, and parse,
-///   simplify and unsat-pruning are pure functions of the text from then
-///   on. Only successful prepares are inserted.
-///
-/// Artifacts are `Arc`-shared: an eviction never invalidates a live
-/// [`Prepared`].
-///
-/// Global hit/miss/eviction totals are kept in atomics (visible via
-/// [`Engine::cache_stats`]); the same events also tick the thread-local
-/// `plan_cache_*` and `prepare_cache_*` observability counters so they
-/// appear in per-query EXPLAIN profiles.
+/// A query shares only its label tests with a document, so a plan is
+/// exact in every label space — a document's alphabet or a catalog —
+/// that binds the names its text mentions alike: a probe hits when each
+/// binding resolves the same way there. A text whose bindings differ
+/// misses, and its new parts replace the entry in place. Evictions never
+/// invalidate a live [`Prepared`]. Hit/miss/eviction totals are kept in
+/// atomics ([`Engine::cache_stats`]) and tick the thread-local
+/// `plan_cache_*` counters.
 #[derive(Debug)]
 struct PlanCache {
     inner: RwLock<CacheInner>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    prepare_hits: AtomicU64,
-    prepare_misses: AtomicU64,
 }
 
 #[derive(Debug)]
 struct CacheInner {
-    map: HashMap<RPath, Arc<Program>>,
-    order: VecDeque<RPath>,
-    /// catalog id → query text → prepared parts; nested so a probe
-    /// borrows the text instead of allocating a key.
-    texts: HashMap<u64, HashMap<String, TextEntry>>,
-    text_order: VecDeque<(u64, String)>,
+    map: HashMap<String, Arc<Parts>>,
+    order: VecDeque<String>,
     capacity: usize,
-}
-
-/// What one query text prepared to against one catalog.
-#[derive(Debug)]
-struct TextEntry {
-    raw_size: usize,
-    path: RPath,
-    plan: Arc<Program>,
 }
 
 impl PlanCache {
@@ -159,120 +137,77 @@ impl PlanCache {
             inner: RwLock::new(CacheInner {
                 map: HashMap::new(),
                 order: VecDeque::new(),
-                texts: HashMap::new(),
-                text_order: VecDeque::new(),
                 capacity: capacity.max(1),
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            prepare_hits: AtomicU64::new(0),
-            prepare_misses: AtomicU64::new(0),
         }
     }
 
-    /// Runs `f` on the text map's entry for `query` against `catalog`,
-    /// if there is one. Counts nothing.
-    fn with_text<R>(
-        &self,
-        catalog: u64,
-        query: &str,
-        f: impl FnOnce(&TextEntry) -> R,
-    ) -> Option<R> {
+    /// The parts `query` prepared to, if each of its bindings resolves to
+    /// the same label in `labels`. Counts a hit; a miss is counted when
+    /// the text compiles.
+    fn get(&self, query: &str, labels: &Alphabet) -> Option<Arc<Parts>> {
         let inner = self.inner.read().expect("plan cache poisoned");
-        inner.texts.get(&catalog).and_then(|m| m.get(query)).map(f)
-    }
-
-    /// The text-map lookup of [`Engine::prepare_in`]: a hit counts as a
-    /// plan-cache hit too, since nothing is compiled.
-    fn get_text(&self, catalog: u64, query: &str) -> Option<Prepared> {
-        let hit = self.with_text(catalog, query, |e| Prepared {
-            text: query.to_string(),
-            raw_size: e.raw_size,
-            path: e.path.clone(),
-            plan: Arc::clone(&e.plan),
-            eval_hist: eval_histogram(),
-        });
-        if hit.is_some() {
-            self.prepare_hits.fetch_add(1, Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            obs::incr(Counter::PrepareCacheHits);
-            obs::incr(Counter::PlanCacheHits);
-        } else {
-            self.prepare_misses.fetch_add(1, Ordering::Relaxed);
-            obs::incr(Counter::PrepareCacheMisses);
-        }
-        hit
-    }
-
-    /// Records what `catalog` + `p.text()` prepared to. Concurrent
-    /// prepares of one text derive identical parts; the first insert
-    /// wins.
-    fn insert_text(&self, catalog: u64, p: &Prepared) {
-        let mut inner = self.inner.write().expect("plan cache poisoned");
-        let texts = inner.texts.entry(catalog).or_default();
-        if texts.contains_key(&p.text) {
-            return;
-        }
-        texts.insert(
-            p.text.clone(),
-            TextEntry {
-                raw_size: p.raw_size,
-                path: p.path.clone(),
-                plan: Arc::clone(&p.plan),
-            },
-        );
-        inner.text_order.push_back((catalog, p.text.clone()));
-        while inner.text_order.len() > inner.capacity {
-            let Some((id, text)) = inner.text_order.pop_front() else {
-                break;
-            };
-            if let Some(texts) = inner.texts.get_mut(&id) {
-                texts.remove(&text);
-                if texts.is_empty() {
-                    inner.texts.remove(&id);
-                }
-            }
-        }
-    }
-
-    /// Returns the cached plan for `path`, compiling and inserting it on
-    /// a miss.
-    fn get_or_compile(&self, path: &RPath) -> Arc<Program> {
+        let parts = inner.map.get(query)?;
+        if !parts
+            .bindings
+            .iter()
+            .all(|(name, l)| labels.lookup(name) == Some(*l))
         {
-            let inner = self.inner.read().expect("plan cache poisoned");
-            if let Some(plan) = inner.map.get(path) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                obs::incr(Counter::PlanCacheHits);
-                return Arc::clone(plan);
-            }
+            return None;
         }
-        // Compile outside any lock: concurrent misses on the same key may
-        // compile twice, but compilation is pure, so the duplicates
-        // are identical and the first insert wins.
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        obs::incr(Counter::PlanCacheHits);
+        Some(Arc::clone(parts))
+    }
+
+    /// Compiles `path` and caches the parts under `text`.
+    ///
+    /// Compilation runs outside any lock: concurrent misses on one text
+    /// may compile twice, but compilation is pure, so when their bindings
+    /// agree the duplicates are identical and the first insert wins.
+    fn compile(
+        &self,
+        text: &str,
+        bindings: Vec<(String, Label)>,
+        raw_size: usize,
+        path: RPath,
+    ) -> Arc<Parts> {
         self.misses.fetch_add(1, Ordering::Relaxed);
         obs::incr(Counter::PlanCacheMisses);
         let plan = {
             let _t = obs::span(Counter::CompileNanos);
-            Arc::new(twx_vm::compile_path(path))
+            Arc::new(twx_vm::compile_path(&path))
         };
-        let key = path.clone();
+        let parts = Arc::new(Parts {
+            text: text.to_string(),
+            bindings,
+            raw_size,
+            path,
+            plan,
+        });
         let mut inner = self.inner.write().expect("plan cache poisoned");
-        if let Some(existing) = inner.map.get(&key) {
-            return Arc::clone(existing);
-        }
-        inner.map.insert(key.clone(), Arc::clone(&plan));
-        inner.order.push_back(key);
-        while inner.map.len() > inner.capacity {
-            if let Some(old) = inner.order.pop_front() {
-                inner.map.remove(&old);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                obs::incr(Counter::PlanCacheEvictions);
-            } else {
-                break;
+        if let Some(entry) = inner.map.get_mut(text) {
+            if entry.bindings != parts.bindings {
+                // the same text in a label space that numbers its names
+                // differently: the entry keeps its place in the FIFO
+                *entry = Arc::clone(&parts);
             }
+            return Arc::clone(entry);
         }
-        plan
+        inner.map.insert(parts.text.clone(), Arc::clone(&parts));
+        inner.order.push_back(parts.text.clone());
+        while inner.map.len() > inner.capacity {
+            let Some(old) = inner.order.pop_front() else {
+                break;
+            };
+            inner.map.remove(&old);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            obs::incr(Counter::PlanCacheEvictions);
+        }
+        parts
     }
 
     fn stats(&self) -> CacheStats {
@@ -283,10 +218,16 @@ impl PlanCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: inner.map.len(),
             capacity: inner.capacity,
-            prepare_hits: self.prepare_hits.load(Ordering::Relaxed),
-            prepare_misses: self.prepare_misses.load(Ordering::Relaxed),
         }
     }
+}
+
+/// What a plan-cache probe found for a query text.
+enum Probe {
+    /// The text is cached with bindings the label space agrees with.
+    Hit(Arc<Parts>),
+    /// It is not: the text's read-only parse and its bindings.
+    Miss(RPath, Vec<(String, Label)>),
 }
 
 /// Default number of resident answers before the result cache evicts.
@@ -544,21 +485,25 @@ impl ResultCache {
 }
 
 /// A compiled query: the product of the full pipeline (parse → simplify →
-/// cached VM compile), reusable across context nodes, threads, and
-/// every document sharing the label space it was compiled against.
+/// VM compile), reusable across context nodes, threads, and every
+/// document sharing the label space it was compiled against.
 ///
-/// `Prepared` is `Send + Sync` and holds its program behind an [`Arc`],
-/// so it stays valid even after the plan is evicted from the engine's
-/// cache.
+/// `Prepared` is `Send + Sync` and shares its parts with the engine's
+/// plan cache behind an [`Arc`], so it stays valid even after the text is
+/// evicted from the cache.
 #[derive(Debug)]
 pub struct Prepared {
-    text: String,
-    raw_size: usize,
-    path: RPath,
+    /// The parts' program, held directly so an eval reaches it in one
+    /// load.
     plan: Arc<Program>,
-    /// The shared eval-latency series (resolved once at prepare time so
-    /// the eval hot path never touches the registry).
-    eval_hist: Arc<AtomicHistogram>,
+    parts: Arc<Parts>,
+}
+
+impl From<Arc<Parts>> for Prepared {
+    fn from(parts: Arc<Parts>) -> Prepared {
+        let plan = Arc::clone(&parts.plan);
+        Prepared { plan, parts }
+    }
 }
 
 impl Prepared {
@@ -577,7 +522,7 @@ impl Prepared {
         if let Some(sample) = sample {
             let (nanos, weight) = sample.finish();
             obs::add(Counter::EvalNanos, nanos.saturating_mul(weight));
-            self.eval_hist.record_n(nanos, weight);
+            eval_histogram().record_n(nanos, weight);
         }
         result
     }
@@ -595,7 +540,7 @@ impl Prepared {
     /// label space fingerprint identically.
     pub fn fingerprint(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.path.hash(&mut h);
+        self.parts.path.hash(&mut h);
         // VM programs carry their own process-independent instruction
         // fingerprint; folding it in ties the cache key to the exact
         // bytecode that will answer.
@@ -609,7 +554,7 @@ impl Prepared {
     /// with cached answers and tested against edit spans at
     /// invalidation.
     pub fn touched_span(&self, doc: &Document, ctx: NodeId) -> Span {
-        if self.path.is_downward() {
+        if self.parts.path.is_downward() {
             Span {
                 start: ctx.0,
                 end: doc.tree.subtree_end(ctx),
@@ -697,20 +642,20 @@ impl Prepared {
         let result = self.run(doc, ctx);
         let nanos = clock.elapsed_nanos();
         obs::add(Counter::EvalNanos, nanos);
-        self.eval_hist.record(nanos);
+        eval_histogram().record(nanos);
         let counters = obs::delta_since(&before);
         self.profile(doc, &result, counters)
     }
 
     fn profile(&self, doc: &Document, result: &NodeSet, counters: obs::Counters) -> QueryProfile {
         QueryProfile {
-            query: self.text.clone(),
+            query: self.parts.text.clone(),
             tree_size: doc.tree.len(),
             result_count: result.count(),
             eval_nanos: counters.get(Counter::EvalNanos),
             compile_nanos: counters.get(Counter::CompileNanos),
             compiled: CompiledSizes {
-                query_size: self.path.size(),
+                query_size: self.parts.path.size(),
                 vm_instrs: self.plan.n_instrs(),
                 vm_regs: self.plan.n_regs_total(),
             },
@@ -725,17 +670,17 @@ impl Prepared {
 
     /// The simplified query AST the plan was compiled from.
     pub fn path(&self) -> &RPath {
-        &self.path
+        &self.parts.path
     }
 
     /// AST size as parsed, before the mandatory simplify stage.
     pub fn raw_size(&self) -> usize {
-        self.raw_size
+        self.parts.raw_size
     }
 
     /// The original query text.
     pub fn text(&self) -> &str {
-        &self.text
+        &self.parts.text
     }
 }
 
@@ -773,60 +718,51 @@ impl Engine {
         self
     }
 
-    /// Runs the full compile pipeline against the document's (immutable)
-    /// alphabet: parse, resolve labels, simplify, then fetch or compile
-    /// the VM program through the shared cache.
+    /// Prepares `query` against the document's (immutable) alphabet: a
+    /// text cached with the same label bindings is a hit; otherwise it
+    /// is parsed, simplified and compiled, and the plan cached.
     ///
     /// Labels the alphabet does not know yield
     /// [`EngineError::UnknownLabel`]; the document is never mutated.
     pub fn prepare(&self, doc: &Document, query: &str) -> Result<Prepared, EngineError> {
-        let path = {
-            let _stage = obs::trace::stage("parse");
-            parse_rpath_resolved(query, &doc.alphabet)?
-        };
-        Ok(self.finish_pipeline(query, path))
+        let probe = self.probe(&doc.alphabet, query)?;
+        Ok(self.finish(query, probe))
     }
 
     /// Like [`prepare`](Engine::prepare), but resolves the query against a
-    /// shared [`Catalog`], **interning** any new labels into it. The plan
-    /// then serves every document built from the catalog.
-    ///
-    /// A text this engine already prepared against `catalog` is answered
-    /// from the plan cache's text map without parsing, simplifying or
-    /// pruning it again (a traced hit has no `parse`/`simplify` stages).
+    /// shared [`Catalog`], read-only: an unknown label is
+    /// [`EngineError::UnknownLabel`], and the catalog never grows. The
+    /// plan then serves every document built from the catalog.
     pub fn prepare_in(&self, catalog: &Catalog, query: &str) -> Result<Prepared, EngineError> {
-        if let Some(hit) = self.cache.get_text(catalog.id(), query) {
-            return Ok(hit);
+        let probe = catalog.with_read(|labels| self.probe(labels, query))?;
+        Ok(self.finish(query, probe))
+    }
+
+    /// The read-only head of the one prepare path, run while the label
+    /// space is read: the plan-cache probe and, on a miss, the parse.
+    fn probe(&self, labels: &Alphabet, query: &str) -> Result<Probe, EngineError> {
+        if let Some(parts) = self.cache.get(query, labels) {
+            return Ok(Probe::Hit(parts));
         }
-        let path = {
-            let _stage = obs::trace::stage("parse");
-            parse_rpath_catalog(query, catalog).map_err(EngineError::Syntax)?
-        };
-        let prepared = self.finish_pipeline(query, path);
-        self.cache.insert_text(catalog.id(), &prepared);
-        Ok(prepared)
+        let _stage = obs::trace::stage("parse");
+        let (raw, bindings) = parse_rpath_bound(query, labels)?;
+        Ok(Probe::Miss(raw, bindings))
     }
 
-    /// Whether [`prepare_in`](Engine::prepare_in) of `query` against
-    /// `catalog` would be a text-map hit. A pure probe: it parses
-    /// nothing, interns nothing and counts nothing. `true` implies every
-    /// label of `query` is already in `catalog`.
-    pub fn has_prepared(&self, catalog: &Catalog, query: &str) -> bool {
-        self.cache.with_text(catalog.id(), query, |_| ()).is_some()
-    }
-
-    /// The shared simplify + cache + compile tail of the pipeline.
+    /// The rest of the pipeline on a miss: simplify, then compile and
+    /// cache.
     ///
     /// The simplify stage is two-phase: the syntactic rewriting fixpoint
     /// of [`simplify_rpath`], then the automata-backed unsat-pruning
     /// pass of [`crate::prune`], which replaces statically-unsatisfiable
     /// downward filters with `⊥` (counted as `simplify_unsat_pruned`).
-    /// The plan cache is keyed on the fully-simplified AST, so a pruned
-    /// query and its hand-simplified form share one plan. The pruning
-    /// pass's decision procedure runs under a work budget, so a miss
-    /// stays cheap even for formulas whose automaton would be huge.
-    fn finish_pipeline(&self, query: &str, raw: RPath) -> Prepared {
-        let raw_size = raw.size();
+    /// The pruning pass's decision procedure runs under a work budget, so
+    /// a miss stays cheap even for formulas whose automaton would be huge.
+    fn finish(&self, query: &str, probe: Probe) -> Prepared {
+        let (raw, bindings) = match probe {
+            Probe::Hit(parts) => return parts.into(),
+            Probe::Miss(raw, bindings) => (raw, bindings),
+        };
         let path = {
             let _stage = obs::trace::stage("simplify");
             let path = simplify_rpath(&raw);
@@ -837,17 +773,8 @@ impl Engine {
                 simplify_rpath(&pruned)
             }
         };
-        let plan = {
-            let _stage = obs::trace::stage("plan_cache");
-            self.cache.get_or_compile(&path)
-        };
-        Prepared {
-            text: query.to_string(),
-            raw_size,
-            path,
-            plan,
-            eval_hist: eval_histogram(),
-        }
+        let _stage = obs::trace::stage("plan_cache");
+        self.cache.compile(query, bindings, raw.size(), path).into()
     }
 
     /// Compiles and evaluates in one step from `ctx`.
@@ -857,8 +784,9 @@ impl Engine {
     }
 
     /// Like [`query`](Engine::query), but collects a span tree of the
-    /// pipeline (`parse` → `simplify` → `plan_cache` → `eval`, each with
-    /// nanosecond timings and counter deltas) alongside the answer.
+    /// pipeline (`parse` → `simplify` → `plan_cache` on a plan-cache
+    /// miss, then `eval`, each with nanosecond timings and counter
+    /// deltas) alongside the answer.
     ///
     /// The answer is **identical** to an untraced [`query`](Engine::query) —
     /// instrumentation never perturbs evaluation. The trace is `None`
@@ -1065,7 +993,10 @@ mod tests {
         let p1 = engine.prepare(&d1, "down*[c]").unwrap();
         let clone = engine.clone();
         let p2 = clone.prepare(&d2, "down*[c]").unwrap();
-        assert!(Arc::ptr_eq(&p1.plan, &p2.plan), "clones share the cache");
+        assert!(
+            Arc::ptr_eq(p1.program(), p2.program()),
+            "clones share the cache"
+        );
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.entries, 1);
@@ -1249,18 +1180,23 @@ mod tests {
         let d = doc();
         let root = d.tree.root();
         let engine = Engine::new();
-        let plain = engine.query(&d, "down*[c]", root).unwrap();
         let (traced, tree) = engine.query_traced(&d, "down*[c]", root).unwrap();
+        let plain = engine.query(&d, "down*[c]", root).unwrap();
         assert_eq!(plain, traced, "tracing perturbed the answer");
+        // the text is cached now: a repeat runs no prepare stage
+        let (_, hit) = engine.query_traced(&d, "down*[c]", root).unwrap();
         #[cfg(feature = "obs")]
-        {
+        for (tree, stages) in [
+            (tree, &["parse", "simplify", "plan_cache", "eval"][..]),
+            (hit, &["eval"][..]),
+        ] {
             let tree = tree.expect("trace collected when obs is on");
             assert_ne!(tree.trace_id.0, 0);
             let names: Vec<&str> = tree.root.children.iter().map(|c| c.name.as_str()).collect();
-            assert_eq!(names, ["parse", "simplify", "plan_cache", "eval"]);
+            assert_eq!(names, stages);
         }
         #[cfg(not(feature = "obs"))]
-        assert!(tree.is_none());
+        assert!(tree.is_none() && hit.is_none());
     }
 
     #[cfg(feature = "obs")]
