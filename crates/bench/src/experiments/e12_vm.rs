@@ -206,8 +206,8 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
             QueryResult {
                 name,
                 query: q,
-                // parse and simplify through the warm engine (a plan-cache
-                // hit skips only the VM compile), then compile the product
+                // prepare through the warm engine (a plan-cache hit), then
+                // compile the product
                 product_cold_us: time_serves(&docs, sz.serves, |i| {
                     let d = &docs[i];
                     let p = vm.prepare_in(&catalog, q).expect("pool query compiles");

@@ -15,9 +15,10 @@ use twx_xtree::generate::{random_document_in, Shape};
 use twx_xtree::rng::SplitMix64 as StdRng;
 use twx_xtree::{Catalog, Document, NodeId};
 
-/// The query mix: compile cost dominated (`within`, and `filter-or`,
-/// whose unsat-pruning check exhausts its work budget), eval dominated
-/// (`zigzag`), and a cheap common case.
+/// The query mix: a `within` filter whose nested evaluation dominates,
+/// a two-way closure (`zigzag`), a cheap common case, and the
+/// filter-heavy `filter-or`, whose cold serve (parse, simplify, compile
+/// and eval in a fresh engine) costs under 3× a plan-cache hit.
 const QUERIES: [(&str, &str); 4] = [
     ("desc-star", "down*[p0]"),
     ("zigzag", "(down/right | up)*[p0]"),
@@ -54,8 +55,7 @@ pub fn run(cfg: &RunCfg) -> Table {
             }
         });
         // cached: one engine, every re-prepare after the first is a
-        // plan-cache hit that skips parse, simplify, unsat-pruning and
-        // compile
+        // plan-cache hit that skips parse, simplify and compile
         let engine = Engine::new();
         let (_, cached_us) = time_us(|| {
             for i in 0..serves {
@@ -95,7 +95,7 @@ pub fn run(cfg: &RunCfg) -> Table {
         "-".into(),
     ]);
 
-    table.note("cold = fresh engine per serve (full pipeline); cached = one engine, so later serves are plan-cache hits (no parse, simplify, prune or compile)");
+    table.note("cold = fresh engine per serve (full pipeline); cached = one engine, so later serves are plan-cache hits (no parse, simplify or compile)");
     table
         .note("batch rows compare a sequential serve loop to Engine::query_batch (scoped threads)");
     table

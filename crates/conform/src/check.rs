@@ -105,8 +105,8 @@ impl Conformer {
         let root = t.root();
         let ctx = NodeSet::singleton(t.len(), root);
         // the reference translations run on the AST the engine's
-        // simplify + unsat-prune stage produced, so that stage stays
-        // under test against every construction of the triangle
+        // simplify stage produced, so that stage stays under test
+        // against every construction of the triangle
         let simplified = self
             .vm
             .prepare_in(&self.catalog, query)

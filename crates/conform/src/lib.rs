@@ -68,7 +68,7 @@ pub enum RouteId {
     /// against.
     Naive,
     /// `Compiled::new` on the raw AST: the product evaluator with the
-    /// simplify/unsat-prune pipeline **off**.
+    /// simplify stage **off**.
     RawProduct,
     /// `Compiled::new` on the simplified AST of the engine's
     /// [`treewalk::Prepared::path`]: the NFA × tree product reference.

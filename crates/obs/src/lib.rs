@@ -115,7 +115,7 @@ counters! {
     BitMatrixCells => "bitmatrix_cells",
     /// Engine prepares answered by the plan cache: the query text was
     /// prepared before under the same label bindings, so parse,
-    /// simplify, unsat-pruning and compile were all skipped.
+    /// simplify and compile were both skipped.
     PlanCacheHits => "plan_cache_hits",
     /// Engine prepares that had to compile a fresh plan.
     PlanCacheMisses => "plan_cache_misses",
@@ -127,14 +127,6 @@ counters! {
     /// AST nodes removed by simplification (input size − output size;
     /// the rules are size-non-increasing, so this never underflows).
     SimplifyShrunkNodes => "simplify_shrunk_nodes",
-    /// Downward-fragment filter subexpressions proved unsatisfiable by
-    /// the tree-automaton decision procedure and replaced with `⊥`
-    /// during the mandatory simplify stage.
-    SimplifyUnsatPruned => "simplify_unsat_pruned",
-    /// Downward-fragment filters the unsat-pruning pass left unchecked
-    /// because the decision procedure's automaton outgrew its rule
-    /// budget (skipping is always sound).
-    SimplifyPruneSkipped => "simplify_prune_skipped",
     /// Corpus query requests submitted to a `QueryService`.
     CorpusRequests => "corpus_requests",
     /// Corpus requests rejected by admission control (`Overloaded`).

@@ -131,16 +131,8 @@ pub enum AcceptAt {
 ///
 /// The construction is EXPTIME in the worst case: a reachable type is
 /// built for every `(left type, right type, label)` triple, so the rule
-/// count grows with the square of the type count. `max_rules` bounds that
-/// work; the fixpoint gives up and returns `None` as soon as it would
-/// build rule `max_rules + 1`. With `None` it runs to completion and
-/// always returns `Some`.
-pub fn compile_simple(
-    f: &Simple,
-    n_labels: u32,
-    accept: AcceptAt,
-    max_rules: Option<usize>,
-) -> Option<Nfta> {
+/// count grows with the square of the type count.
+pub fn compile_simple(f: &Simple, n_labels: u32, accept: AcceptAt) -> Nfta {
     let mut cl = Vec::new();
     closure(f, &mut cl);
     let k = cl.len();
@@ -200,9 +192,6 @@ pub fn compile_simple(
                     if rule_seen.contains_key(&(lo, ro, lab)) {
                         continue;
                     }
-                    if max_rules.is_some_and(|max| rules.len() >= max) {
-                        return None;
-                    }
                     let lt = lo.map(|i| types[i as usize].clone());
                     let rt = ro.map(|i| types[i as usize].clone());
                     let ty = step(Label(lab), lt.as_ref(), rt.as_ref());
@@ -238,12 +227,12 @@ pub fn compile_simple(
         })
         .map(|(i, _)| i as u32)
         .collect();
-    Some(Nfta {
+    Nfta {
         n_states: types.len() as u32,
         n_labels,
         rules,
         finals,
-    })
+    }
 }
 
 /// Compiles a downward-fragment Core XPath node expression directly.
@@ -252,8 +241,7 @@ pub fn compile_node_expr(
     n_labels: u32,
     accept: AcceptAt,
 ) -> Result<Nfta, NotDownward> {
-    let auto = compile_simple(&to_simple(f)?, n_labels, accept, None);
-    Ok(auto.expect("an unbounded compile always completes"))
+    Ok(compile_simple(&to_simple(f)?, n_labels, accept))
 }
 
 /// Exact satisfiability for the downward fragment: is there a tree (over
@@ -370,19 +358,6 @@ mod tests {
         // but with a label guard they differ: an a1-descendant need not be
         // an a1-child
         assert!(!equivalent(&expr("<down[a1]>"), &expr("<down+[a1]>"), 2).unwrap());
-    }
-
-    /// A budget at or above the full automaton's rule count changes
-    /// nothing; one rule short of it gives up.
-    #[test]
-    fn rule_budget_bounds_the_fixpoint() {
-        let f = to_simple(&expr("<down[a1]> and !<down+[a0]>")).unwrap();
-        let full = compile_simple(&f, 2, AcceptAt::SomeNode, None).unwrap();
-        let n = full.rules.len();
-        let exact = compile_simple(&f, 2, AcceptAt::SomeNode, Some(n)).unwrap();
-        assert_eq!(exact.rules.len(), n);
-        assert_eq!(exact.n_states, full.n_states);
-        assert!(compile_simple(&f, 2, AcceptAt::SomeNode, Some(n - 1)).is_none());
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! ```
 
 use treewalk::regxpath::print::rpath_to_string;
-use treewalk::treeauto::xpath_compile::satisfiable;
 use treewalk::xtree::parse::parse_sexp_with;
 use treewalk::xtree::serialize::to_sexp;
 use treewalk::xtree::{Alphabet, NodeSet};
+use twx_treeauto::xpath_compile::satisfiable;
 use twx_twa::eval::{accepts_from, eval_image};
 use twx_twa::machine::{Move, Ntwa, Scope, TestAtom, Transition, Twa};
 

@@ -40,9 +40,9 @@ fn main() {
         stats.hits, stats.misses
     );
 
-    // the mandatory simplify stage also prunes provably-unsatisfiable
-    // downward filters (decided by type-automaton emptiness), visible as
-    // the simplify_unsat_pruned counter in the profile
+    // a contradictory filter is not decided at prepare time: it
+    // compiles like any other filter, and one ordinary eval finds that
+    // it has no answer
     let contradiction = "down*[book and !book]";
     let profile = engine.explain(&doc, contradiction, root).expect("query");
     println!(

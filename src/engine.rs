@@ -751,13 +751,6 @@ impl Engine {
 
     /// The rest of the pipeline on a miss: simplify, then compile and
     /// cache.
-    ///
-    /// The simplify stage is two-phase: the syntactic rewriting fixpoint
-    /// of [`simplify_rpath`], then the automata-backed unsat-pruning
-    /// pass of [`crate::prune`], which replaces statically-unsatisfiable
-    /// downward filters with `⊥` (counted as `simplify_unsat_pruned`).
-    /// The pruning pass's decision procedure runs under a work budget, so
-    /// a miss stays cheap even for formulas whose automaton would be huge.
     fn finish(&self, query: &str, probe: Probe) -> Prepared {
         let (raw, bindings) = match probe {
             Probe::Hit(parts) => return parts.into(),
@@ -765,13 +758,7 @@ impl Engine {
         };
         let path = {
             let _stage = obs::trace::stage("simplify");
-            let path = simplify_rpath(&raw);
-            let pruned = crate::prune::prune_unsat_rpath(&path);
-            if pruned == path {
-                path
-            } else {
-                simplify_rpath(&pruned)
-            }
+            simplify_rpath(&raw)
         };
         let _stage = obs::trace::stage("plan_cache");
         self.cache.compile(query, bindings, raw.size(), path).into()

@@ -136,11 +136,11 @@ fn unknown_labels_are_typed_errors_for_documents_and_catalogs() {
     assert_eq!(engine.cache_stats().entries, 0);
 }
 
-/// The full simplify + unsat-prune stage is **idempotent** — feeding a
+/// The engine's simplify stage is **idempotent** — feeding a
 /// pipeline's output query back through the pipeline changes nothing —
 /// and never grows the AST, across 2000 random queries.
 #[test]
-fn simplify_and_prune_are_idempotent_and_never_grow() {
+fn simplify_stage_is_idempotent_and_never_grows() {
     let catalog = Catalog::from_names(["p0", "p1"]);
     let mut rng = SplitMix64::seed_from_u64(500);
     let cfg = RGenConfig::default();
@@ -152,8 +152,8 @@ fn simplify_and_prune_are_idempotent_and_never_grow() {
         assert_eq!(simplify_rpath(&s), s, "simplify not a fixpoint: {p:?}");
         assert!(s.size() <= p.size(), "simplify grew {p:?} -> {s:?}");
 
-        // …and so is the engine's full staged pipeline (simplify +
-        // unsat-prune + re-simplify), observed through `path()`.
+        // …and so is the engine's prepare path, observed through
+        // `path()`.
         let text = rpath_to_string(&p, &catalog.snapshot());
         let prepared = engine.prepare_in(&catalog, &text).unwrap();
         let once = prepared.path().clone();
@@ -404,31 +404,43 @@ fn syntax_errors_are_not_cached() {
     assert_eq!(engine.cache_stats().hits, before.hits + 1);
 }
 
-/// A query under both syntactic caps of the unsat-pruning pass whose
-/// decision automaton runs to millions of rules: the work budget makes
-/// a cold prepare skip that check (it took seconds without the budget),
-/// and the unpruned plan still answers like the product reference on the
-/// raw parse.
+/// A cold prepare decides nothing about satisfiability, so it stays
+/// cheap for any text: a filter whose tree-automaton satisfiability
+/// check runs to millions of rules, and contradictory filters, each
+/// compile and answer like the product reference on the raw parse (the
+/// contradictions answer ∅).
 #[test]
 fn prune_budget_bounds_a_cold_prepare() {
-    let query = "down*[<down[a]> or <down[b]> or <down[c]>]";
+    let hostile = "down*[<down[a]> or <down[b]> or <down[c]>]";
+    let contradictions = [
+        "down[b and !b]",
+        "down*[leaf and <down>]",
+        "down[<down[b and !b]>]",
+        "down[W(a and b)]",
+        "down[W(<down[b]> and leaf)]",
+    ];
     let catalog = Catalog::from_names(["a", "b", "c", "d"]);
-    let before = obs::snapshot();
-    let prepared = Engine::new().prepare_in(&catalog, query).unwrap();
-    if obs::ENABLED {
-        let delta = obs::delta_since(&before);
-        assert!(delta.get(obs::Counter::SimplifyPruneSkipped) >= 1);
-    }
-    let raw = twx_regxpath::parser::parse_rpath_catalog(query, &catalog).unwrap();
+    let engine = Engine::new();
     let mut rng = SplitMix64::seed_from_u64(31);
-    for shape in [Shape::DocumentLike, Shape::Wide, Shape::Recursive] {
-        let doc = random_document_in(shape, 120, &catalog, &mut rng);
-        let t = &doc.tree;
-        let ctx = NodeSet::singleton(t.len(), t.root());
-        assert_eq!(
-            prepared.eval(&doc, t.root()),
-            reference_image(RouteId::Product, &raw, t, &ctx),
-            "{shape:?}"
-        );
+    let docs: Vec<Document> = [Shape::DocumentLike, Shape::Wide, Shape::Recursive]
+        .into_iter()
+        .map(|shape| random_document_in(shape, 120, &catalog, &mut rng))
+        .collect();
+    for query in std::iter::once(hostile).chain(contradictions) {
+        let prepared = engine.prepare_in(&catalog, query).unwrap();
+        let raw = twx_regxpath::parser::parse_rpath_catalog(query, &catalog).unwrap();
+        for doc in &docs {
+            let t = &doc.tree;
+            let ctx = NodeSet::singleton(t.len(), t.root());
+            let vm = prepared.eval(doc, t.root());
+            assert_eq!(
+                vm,
+                reference_image(RouteId::Product, &raw, t, &ctx),
+                "{query}"
+            );
+            if query != hostile {
+                assert!(vm.is_empty(), "{query}: a contradiction has no answer");
+            }
+        }
     }
 }
