@@ -50,7 +50,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 # the suite shrinks only with the code it tests; a silent drop below
 # the floor means tests were lost, not fixed
-TEST_FLOOR=591
+TEST_FLOOR=586
 
 say "test suite"
 test_log="$(mktemp -t twx_tests.XXXXXX.log)"
@@ -98,7 +98,7 @@ assert doc["replayed"] > 0, "golden corpus was not replayed"
 assert doc["replay_divergences"] == 0, doc
 routes = [r["route"] for r in doc["routes"]]
 assert routes == ["naive", "raw-product", "product", "automaton", "logic",
-                  "vm-cold", "vm", "service"], routes
+                  "vm", "service"], routes
 # the gate reaches both star kernels: closure rounds and the one-way pass
 assert doc["vm_round_evals"] > 0, doc["vm_round_evals"]
 assert doc["vm_one_way_evals"] > 0, doc["vm_one_way_evals"]
@@ -106,6 +106,8 @@ print("twx-fuzz: 300 iterations +", doc["replayed"],
       "golden repros, 0 divergences across", len(doc["routes"]), "routes;",
       doc["vm_round_evals"], "vm evals ran rounds,", doc["vm_one_way_evals"],
       "a one-way pass")
+print("eval ms per route:", ", ".join(
+    f'{r["route"]} {r["eval_nanos"] / 1e6:.1f}' for r in doc["routes"]))
 EOF
 rm -f "$fuzz_out"
 
@@ -127,6 +129,8 @@ assert doc["vm_one_way_evals"] > 0, doc["vm_one_way_evals"]
 print("twx-fuzz --max-doc-nodes 130: 100 iterations, 0 divergences across",
       len(doc["routes"]), "routes;", doc["vm_round_evals"], "vm evals ran rounds,",
       doc["vm_one_way_evals"], "a one-way pass")
+print("eval ms per route:", ", ".join(
+    f'{r["route"]} {r["eval_nanos"] / 1e6:.1f}' for r in doc["routes"]))
 EOF
 rm -f "$big_fuzz_out"
 
@@ -230,10 +234,8 @@ assert len(doc["experiments"]) == 13, len(doc["experiments"])
 assert len(doc["quickstart_profiles"]) == 1, doc["quickstart_profiles"]
 vm_profile = doc["quickstart_profiles"][0]
 assert vm_profile["result_count"] == 2, vm_profile
-assert vm_profile["counters"]["plan_cache_misses"] == 1, vm_profile
+assert vm_profile["compile_nanos"] > 0, vm_profile
 assert vm_profile["compiled"]["vm_instrs"] > 0, vm_profile
-cache = doc["plan_cache"]
-assert cache["misses"] == 1 and cache["hits"] == 1, cache
 e10 = doc["e10"]
 assert len(e10["shards"]) >= 2, e10
 for point in e10["shards"]:
@@ -281,9 +283,6 @@ assert {q["doc_size"] for q in sel["queries"]} == {20000, 50000}, sel
 assert {q["from"] for q in sel["queries"]} == {"root", "leaf"}, sel
 slow = [q for q in sel["queries"] if q["speedup_hot"] < 1]
 assert not slow, f"vm slower than product on selective-context rows: {slow}"
-vm_cache = e12["vm_plan_cache"]
-assert vm_cache["misses"] == e12["pool"], vm_cache
-assert vm_cache["hits"] >= e12["pool"], vm_cache
 e13 = doc["e13"]
 assert e13["compression_ratio"] >= 4, (
     f"snapshot encoding only {e13['compression_ratio']:.2f}x smaller than the arena (bar: 4x)")
@@ -292,7 +291,7 @@ assert all(p["recover_ms"] > 0 for p in e13["recovery"]), e13["recovery"]
 assert e13["snapshot"]["write_nodes_per_s"] > 0, e13["snapshot"]
 assert e13["snapshot"]["load_nodes_per_s"] > 0, e13["snapshot"]
 print("BENCH_HARNESS.json: schema ok,", len(doc["experiments"]), "experiments,",
-      len(doc["quickstart_profiles"]), "profile, plan cache", cache)
+      len(doc["quickstart_profiles"]), "profile")
 print("e10:", len(e10["shards"]), "shard counts,",
       sat["rejected"], "of", sat["submitted"], "burst requests rejected")
 print("e10 conn sweep: up to", max(p["conns"] for p in cs), "clients per framing,",

@@ -59,23 +59,15 @@ fn die(msg: &str) -> ! {
 
 /// EXPLAIN the quickstart query; the profile lands in the JSON export so
 /// runs can be compared structurally. The document is immutable — queries
-/// resolve against its alphabet without interning. The second return
-/// value is the serve-side plan-cache statistics (explain twice: one
-/// miss, one hit).
-fn quickstart_profiles() -> (Vec<Json>, Json) {
+/// resolve against its alphabet without interning.
+fn quickstart_profiles() -> Vec<Json> {
     const QUERY: &str = "down*[c]";
     let doc = parse_xml("<a><b><c/></b><c><b/></c></a>").expect("quickstart doc");
-    let root = doc.tree.root();
-    let engine = Engine::new();
-    let profile = engine.explain(&doc, QUERY, root).expect("quickstart query");
-    let _served_again = engine.explain(&doc, QUERY, root).expect("quickstart query");
+    let profile = Engine::new()
+        .explain(&doc, QUERY, doc.tree.root())
+        .expect("quickstart query");
     println!("{profile}");
-    let stats = engine.cache_stats();
-    let cache = Json::obj()
-        .field("hits", stats.hits)
-        .field("misses", stats.misses)
-        .field("evictions", stats.evictions);
-    (vec![profile.to_json()], cache)
+    vec![profile.to_json()]
 }
 
 fn main() {
@@ -89,7 +81,7 @@ fn main() {
         ("e6", experiments::e6_satisfiability::run),
         ("e7", experiments::e7_closure::run),
         ("e8", experiments::e8_separation::run),
-        ("e9", experiments::e9_plan_cache::run),
+        ("e9", experiments::e9_prepare::run),
     ];
 
     // experiments with a structured summary exported as a top-level
@@ -155,7 +147,7 @@ fn main() {
         summaries.push((id, summary));
     }
 
-    let (profiles, plan_cache) = quickstart_profiles();
+    let profiles = quickstart_profiles();
     let mut doc = Json::obj()
         .field("schema", "twx-bench/1")
         .field("mode", if args.cfg.quick { "quick" } else { "full" })
@@ -167,7 +159,6 @@ fn main() {
     }
     let doc = doc
         .field("quickstart_profiles", Json::Arr(profiles))
-        .field("plan_cache", plan_cache)
         // every histogram the run registered process-wide (the engine
         // eval series, service latency series, …)
         .field(

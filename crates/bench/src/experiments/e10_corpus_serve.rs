@@ -102,7 +102,7 @@ fn sweep(cfg: &RunCfg, n_shards: usize) -> SweepPoint {
             slowlog_capacity: 16,
         },
     );
-    // warm the plan cache so the sweep measures serving, not compiling
+    // warm the result cache so the sweep measures serving, not evaluating
     for q in QUERIES {
         service.query(q).expect("warmup");
     }
@@ -709,7 +709,7 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
         format!("{} rejected", sat.rejected),
     ]);
     table.note(
-        "sweep rows: 4 generator threads over a shared-catalog corpus, warm plan cache; \
+        "sweep rows: 4 generator threads over a shared-catalog corpus, warm result cache; \
          log-bucketed histogram percentiles of submit-to-answer latency (per-thread \
          histograms merged)",
     );
@@ -815,7 +815,7 @@ mod tests {
     }
 
     /// The saturation burst fills the queue by construction only if no
-    /// submission can answer from another's cached plan or result.
+    /// submission can answer from another's cached result.
     #[test]
     fn burst_queries_have_distinct_plans() {
         let catalog = Catalog::from_names(["a", "b", "c", "d"]);

@@ -6,11 +6,11 @@
 //! * **90/10 mix** — the same deterministic stream of operations (90%
 //!   queries over a small hot query pool, 10% random typed edits) runs
 //!   through two regimes. *Live*: documents are [`VersionedDocument`]s,
-//!   one hot engine keeps its plan cache, answers come through a
+//!   each pool query is prepared once, answers come through a
 //!   [`ResultCache`] whose entries are invalidated precisely by each
 //!   edit's affected span. *Baseline*: every edit re-ingests the whole
-//!   corpus (the cost a version-less store pays) and every query runs
-//!   on a plan-cache-cold engine with no result cache. Same answers,
+//!   corpus (the cost a version-less store pays) and every query is
+//!   prepared afresh and evaluated with no result cache. Same answers,
 //!   measured wall-clock apart — the acceptance bar is live > 1×: the
 //!   result cache must beat re-ingest plus recompute.
 //! * **Invalidation precision probe** — a deterministic script caches a
@@ -175,8 +175,8 @@ fn run_live(catalog: &Arc<Catalog>, docs: &[Document], ops: &[MixOp]) -> LiveRun
 }
 
 /// The baseline regime: the same op stream, but every edit pays a full
-/// corpus re-ingest and every query a plan-cache-cold engine with no
-/// result cache.
+/// corpus re-ingest and every query a fresh prepare with no result
+/// cache.
 fn run_baseline(catalog: &Arc<Catalog>, docs: &[Document], ops: &[MixOp]) -> (f64, u64) {
     let labels: Vec<_> = ["a", "b", "c", "d"]
         .iter()
@@ -188,8 +188,7 @@ fn run_baseline(catalog: &Arc<Catalog>, docs: &[Document], ops: &[MixOp]) -> (f6
     for op in ops {
         match op {
             MixOp::Query { query, ctx } => {
-                let engine = Engine::new();
-                let prepared = engine
+                let prepared = Engine::new()
                     .prepare_in(catalog, QUERIES[*query])
                     .expect("pool query compiles");
                 for doc in &current {
@@ -338,7 +337,7 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
         "".into(),
     ]);
     table.note(
-        "live: versioned documents, plan-cached VM engine, result cache invalidated by each edit's \
+        "live: versioned documents, pool queries prepared once, result cache invalidated by each edit's \
          affected span; re-ingest: every edit rebuilds the corpus, every query compiles cold \
          with no result cache — identical op streams, identical answers",
     );

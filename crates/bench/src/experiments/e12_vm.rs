@@ -1,5 +1,5 @@
 //! E12 — the engine's bytecode VM vs the reference product evaluator on
-//! a deep/starred query pool, plan-cache-cold and plan-cache-hot.
+//! a deep/starred query pool, cold and hot.
 //!
 //! The VM compiles a plan once into a register program over dense
 //! word-level bitsets and then serves every evaluation from a recycled
@@ -12,7 +12,7 @@
 //! the query shapes the VM was built for (deep sequences and starred
 //! closures over document-like trees), in both the cold posture (every
 //! serve parses, simplifies and compiles) and the hot serving posture
-//! (plan-cache hit, eval only).
+//! (prepared once, eval only).
 //!
 //! A second, separate measurement times the same pool hot on one
 //! 20k-node `Shape::Deep(2)` document, where a closure needs one
@@ -40,6 +40,7 @@ use treewalk::Engine;
 use twx_obs::json::Json;
 use twx_obs::{self as obs, Counter};
 use twx_regxpath::eval::Compiled;
+use twx_regxpath::{parse_rpath_resolved, simplify_rpath};
 use twx_xtree::generate::{random_document_in, Shape};
 use twx_xtree::rng::SplitMix64;
 use twx_xtree::{Catalog, Document, NodeId, NodeSet};
@@ -146,8 +147,8 @@ fn time_serves(docs: &[Document], serves: usize, mut eval: impl FnMut(usize) -> 
 /// Hot product and VM time over `serves` evals of `q` from the node
 /// `ctx` picks in each document (picked before timing), after checking
 /// the two agree on every document. Both sides compile once, outside
-/// the timed region: the VM through `vm`'s plan cache, the product from
-/// the simplified AST that VM program was compiled from. A short
+/// the timed region: the VM through `vm`, the product from the
+/// simplified AST that VM program was compiled from. A short
 /// warm-up pass keeps first-touch page faults and lazy arena growth out
 /// of the timings.
 fn hot_pair(
@@ -206,18 +207,18 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
             QueryResult {
                 name,
                 query: q,
-                // prepare through the warm engine (a plan-cache hit), then
-                // compile the product
+                // parse and simplify as the engine does, then compile the
+                // product: no VM compile on this side
                 product_cold_us: time_serves(&docs, sz.serves, |i| {
                     let d = &docs[i];
-                    let p = vm.prepare_in(&catalog, q).expect("pool query compiles");
-                    Compiled::new(p.path()).image(&d.tree, &root_ctx(d))
+                    let raw = catalog
+                        .with_read(|labels| parse_rpath_resolved(q, labels))
+                        .expect("pool query parses");
+                    Compiled::new(&simplify_rpath(&raw)).image(&d.tree, &root_ctx(d))
                 }),
                 vm_cold_us: time_serves(&docs, sz.serves, |i| {
                     let d = &docs[i];
-                    let p = Engine::new()
-                        .prepare_in(&catalog, q)
-                        .expect("pool query compiles");
+                    let p = vm.prepare_in(&catalog, q).expect("pool query compiles");
                     p.eval(d, d.tree.root())
                 }),
                 product_hot_us,
@@ -234,7 +235,7 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
     let geo_hot = geomean(results.iter().map(QueryResult::speedup_hot));
 
     let mut table = Table::new(
-        "E12: bytecode VM vs product evaluator — deep/starred pool, cold and plan-cache-hot",
+        "E12: bytecode VM vs product evaluator — deep/starred pool, cold and hot",
         &[
             "query",
             "serves",
@@ -319,16 +320,10 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
         "selective geomean",
         selective.geomean_speedup_hot,
     ));
-    let vm_stats = vm.cache_stats();
     table.note(format!(
         "{} docs x {} nodes (DocumentLike); cold = every serve parses, simplifies and compiles; \
          hot = prepared once, evals only",
         sz.n_docs, sz.doc_size
-    ));
-    table.note(format!(
-        "vm plan cache after run: {} hits / {} misses / {} entries — one compile per pool query, \
-         every re-prepare a hit",
-        vm_stats.hits, vm_stats.misses, vm_stats.entries
     ));
     let one_way: Vec<&str> = deep
         .rows
@@ -448,13 +443,6 @@ pub fn run_full(cfg: &RunCfg) -> (Table, Json) {
                 .field("queries", Json::Arr(selective_rows))
                 .field("geomean_speedup_hot", selective.geomean_speedup_hot)
                 .field("min_speedup_hot", selective.min_speedup_hot),
-        )
-        .field(
-            "vm_plan_cache",
-            Json::obj()
-                .field("hits", vm_stats.hits)
-                .field("misses", vm_stats.misses)
-                .field("entries", vm_stats.entries),
         );
     (table, summary)
 }
@@ -696,10 +684,6 @@ mod tests {
         match field(field(&summary, "selective"), "min_speedup_hot") {
             Json::Num(s) => assert!(*s > 0.0, "selective speedups must be positive, got {s}"),
             other => panic!("selective min_speedup_hot is {other:?}"),
-        }
-        match field(field(&summary, "vm_plan_cache"), "misses") {
-            Json::Int(m) => assert_eq!(*m as usize, QUERIES.len(), "one compile per pool query"),
-            other => panic!("misses is {other:?}"),
         }
     }
 

@@ -13,7 +13,7 @@ pub mod e5_logic_cost;
 pub mod e6_satisfiability;
 pub mod e7_closure;
 pub mod e8_separation;
-pub mod e9_plan_cache;
+pub mod e9_prepare;
 
 use crate::{RunCfg, Table};
 
@@ -28,7 +28,7 @@ pub fn run_all(cfg: &RunCfg) -> Vec<Table> {
         e6_satisfiability::run(cfg),
         e7_closure::run(cfg),
         e8_separation::run(cfg),
-        e9_plan_cache::run(cfg),
+        e9_prepare::run(cfg),
         e10_corpus_serve::run(cfg),
         e11_live_corpus::run(cfg),
         e12_vm::run(cfg),

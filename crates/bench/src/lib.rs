@@ -13,15 +13,15 @@
 //! * E7 — automata closure operations (determinization/complement blowup);
 //! * E8 — the MSO separation targets (regular languages vs bounded search
 //!   over Regular XPath(W) candidates);
-//! * E9 — the staged compile pipeline: cold compiles vs plan-cache serves
-//!   over catalog-shared documents, and `query_batch` thread fan-out;
+//! * E9 — the staged compile pipeline: a cold prepare + eval vs an eval
+//!   of a held `Prepared` over catalog-shared documents;
 //! * E10 — the serving layer: corpus-query throughput and p50/p95/p99
 //!   latency by shard count, plus admission-control saturation;
 //! * E11 — the live corpus: a mixed query/edit workload through the
 //!   result cache vs re-evaluation from scratch, plus an
 //!   invalidation-precision probe;
 //! * E12 — the engine's bytecode VM vs the reference product evaluator
-//!   on deep/starred queries (cold and plan-cache-hot) and on the E1/E2
+//!   on deep/starred queries (cold and hot) and on the E1/E2
 //!   query families.
 //!
 //! Each experiment is a function `fn(&RunCfg) -> Table`; the `harness`

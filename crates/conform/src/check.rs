@@ -20,18 +20,14 @@ use twx_xtree::{Catalog, Document, NodeSet, Tree};
 use crate::{Divergence, Fault, RouteAnswer, RouteId};
 
 /// The differential checker. Holds the shared label [`Catalog`], the
-/// persistent (plan-cache-hot) engines, the optional test-only
-/// [`Fault`], and per-route accumulated evaluation time.
+/// optional test-only [`Fault`], and per-route accumulated evaluation
+/// time.
 ///
 /// All routes evaluate from the document root; answers are compared as
 /// sorted node-id vectors. The reference is always [`RouteId::Naive`] —
 /// the `n × n` bit-matrix semantics of `eval_rel_naive`.
 pub struct Conformer {
     catalog: Arc<Catalog>,
-    /// The persistent engine behind [`RouteId::Vm`]: plan-cache-hot,
-    /// register arena warm — the production serving configuration. It
-    /// also supplies the simplified AST the reference routes translate.
-    vm: Engine,
     fault: Option<Fault>,
     route_nanos: [u64; RouteId::ALL.len()],
     /// [`RouteId::Vm`] evaluations that ran at least one one-way
@@ -52,7 +48,6 @@ impl Conformer {
     pub fn with_fault(catalog: Arc<Catalog>, fault: Option<Fault>) -> Conformer {
         Conformer {
             catalog,
-            vm: Engine::new(),
             fault,
             route_nanos: [0; RouteId::ALL.len()],
             vm_one_way_evals: 0,
@@ -107,10 +102,8 @@ impl Conformer {
         // the reference translations run on the AST the engine's
         // simplify stage produced, so that stage stays under test
         // against every construction of the triangle
-        let simplified = self
-            .vm
+        let prepared = Engine::new()
             .prepare_in(&self.catalog, query)
-            .map(|p| p.path().clone())
             .map_err(|e| format!("engine: {e}"));
 
         let mut answers: Vec<RouteAnswer> = Vec::with_capacity(RouteId::ALL.len());
@@ -126,14 +119,15 @@ impl Conformer {
                     Ok(Compiled::new(&raw).image(t, &ctx))
                 }
                 RouteId::Product | RouteId::Automaton | RouteId::Logic => {
-                    simplified.as_ref().map_err(Clone::clone).map(|path| {
+                    prepared.as_ref().map_err(Clone::clone).map(|p| {
                         let _s = obs::span(Counter::EvalNanos);
-                        reference_image(route, path, t, &ctx)
+                        reference_image(route, p.path(), t, &ctx)
                     })
                 }
-                RouteId::VmCold => self.engine_answer(&Engine::new(), query, doc),
-                // the plan cache was primed above: answer from the hit
-                RouteId::Vm => self.engine_answer(&self.vm, query, doc),
+                RouteId::Vm => prepared
+                    .as_ref()
+                    .map_err(Clone::clone)
+                    .map(|p| p.eval(doc, root)),
                 RouteId::Service => self.service_answer(query, doc),
             }
             .map(|s| {
@@ -172,19 +166,6 @@ impl Conformer {
             reference,
             disagreeing,
         }))
-    }
-
-    /// Answers through `engine`'s full pipeline from the document root.
-    fn engine_answer(
-        &self,
-        engine: &Engine,
-        query: &str,
-        doc: &Document,
-    ) -> Result<NodeSet, String> {
-        let prepared = engine
-            .prepare_in(&self.catalog, query)
-            .map_err(|e| format!("engine: {e}"))?;
-        Ok(prepared.eval(doc, doc.tree.root()))
     }
 
     /// Runs the query through a 2-shard [`QueryService`] holding two

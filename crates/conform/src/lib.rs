@@ -10,8 +10,8 @@
 //!   every route — the naive relational oracle, the raw (pipeline-off)
 //!   product evaluator, the paper's three translations (product, NTWA,
 //!   FO(MTC)) applied to the engine's simplified AST, the engine's
-//!   bytecode VM plan-cache-cold and in its production (hot,
-//!   arena-recycled) configuration, and a sharded [`QueryService`] — and reports
+//!   bytecode VM in its production (arena-recycled) configuration, and
+//!   a sharded [`QueryService`] — and reports
 //!   any disagreement as a typed [`Divergence`] naming the odd routes
 //!   and their answers.
 //! * [`shrink::minimize`] greedily minimises a failing pair over both the
@@ -79,12 +79,10 @@ pub enum RouteId {
     /// `rpath_to_formula` + `twx_fotc::eval_binary` on the simplified
     /// AST: the FO(MTC) model-checking reference.
     Logic,
-    /// A fresh [`treewalk::Engine`] per check (plan-cache cold), full
-    /// pipeline on.
-    VmCold,
-    /// The bytecode VM in its production configuration: a persistent
-    /// [`treewalk::Engine`], plan-cache-hot, registers recycled through
-    /// the thread-local arena across checks — the route serving runs.
+    /// The bytecode VM in its production configuration: the engine's
+    /// full prepare (parse, simplify, compile), registers recycled
+    /// through the thread-local arena across checks — the route serving
+    /// runs.
     Vm,
     /// A [`twx_corpus::QueryService`] over a 2-shard corpus holding two
     /// copies of the document, checked for internal agreement and
@@ -94,13 +92,12 @@ pub enum RouteId {
 
 impl RouteId {
     /// Every route, in the order answers are collected and reported.
-    pub const ALL: [RouteId; 8] = [
+    pub const ALL: [RouteId; 7] = [
         RouteId::Naive,
         RouteId::RawProduct,
         RouteId::Product,
         RouteId::Automaton,
         RouteId::Logic,
-        RouteId::VmCold,
         RouteId::Vm,
         RouteId::Service,
     ];
@@ -118,7 +115,6 @@ impl RouteId {
             RouteId::Product => "product",
             RouteId::Automaton => "automaton",
             RouteId::Logic => "logic",
-            RouteId::VmCold => "vm-cold",
             RouteId::Vm => "vm",
             RouteId::Service => "service",
         }

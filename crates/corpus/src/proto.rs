@@ -236,7 +236,6 @@ impl ProtoHandler {
     fn stats_line(&self) -> String {
         let service = &self.service;
         let s = service.stats();
-        let cache = service.cache_stats();
         let results = service.result_cache_stats();
         let n = self.sync_net_gauges();
         let mut reply = Json::obj()
@@ -256,8 +255,6 @@ impl ProtoHandler {
             .field("queued", s.queued)
             .field("queue_capacity", s.queue_capacity)
             .field("workers", s.workers)
-            .field("plan_cache_hits", cache.hits)
-            .field("plan_cache_misses", cache.misses)
             .field("updates", s.updates)
             .field("stale_answers", s.stale_answers)
             .field("result_cache_hits", results.hits)
@@ -406,9 +403,8 @@ mod tests {
     }
 
     /// Unknown labels are refused by the service's read-only prepare and
-    /// never interned, however often they are sent; a repeat of a served
-    /// text is a plan-cache hit, and only healthy queries count as
-    /// submitted.
+    /// never interned, however often they are sent, and only healthy
+    /// queries count as submitted.
     #[test]
     fn unknown_labels_never_grow_the_catalog() {
         let catalog = Arc::new(Catalog::from_names(["a", "b"]));
@@ -430,8 +426,6 @@ mod tests {
             assert!(r.contains(r#""matches":2"#), "{r}");
         }
         assert_eq!(catalog.len(), 2);
-        let stats = handler.service().cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(handler.service().stats().submitted, 2);
         handler.finish();
     }

@@ -6,10 +6,9 @@
 //!
 //! 1. [`QueryService::submit`] compiles the query once through
 //!    [`Engine::prepare_in`], read-only against the corpus catalog — a
-//!    repeat query text is a plan-cache lookup, and a text naming a label
-//!    the catalog lacks fails with [`ServiceError::Engine`] before it is
-//!    counted as submitted — and fans the `Arc<Prepared>` plan into one
-//!    work item per shard.
+//!    text naming a label the catalog lacks fails with
+//!    [`ServiceError::Engine`] before it is counted as submitted — and
+//!    fans the `Arc<Prepared>` plan into one work item per shard.
 //! 2. **Admission** is all-or-nothing and non-blocking: if the bounded
 //!    queue cannot take the whole fan-out, the request is rejected with
 //!    [`ServiceError::Overloaded`] (counted as `corpus_rejected`) rather
@@ -271,7 +270,7 @@ pub struct Ticket {
     snapshot_seq: u64,
     trace_id: TraceId,
     /// The submit thread's compile-side span (`prepare` with its parse/
-    /// simplify/plan_cache children) — `Some` iff the request is traced
+    /// simplify/compile children) — `Some` iff the request is traced
     /// and instrumentation is on.
     prepare_span: Option<SpanNode>,
     traced: bool,
@@ -424,8 +423,7 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Starts a service over `corpus`, compiling through `engine` (whose
-    /// plan cache the service shares).
+    /// Starts a service over `corpus`, compiling through `engine`.
     pub fn new(corpus: Arc<Corpus>, engine: Engine, config: ServiceConfig) -> QueryService {
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let results = Arc::new(ResultCache::default());
@@ -646,9 +644,11 @@ impl QueryService {
         }
     }
 
-    /// Plan-cache statistics of the engine the service compiles through.
+    /// Returns zeros: the engine caches no plans.
+    #[doc(hidden)]
+    #[deprecated(note = "the engine caches no plans; kept for perfbench/src/stack.rs")]
     pub fn cache_stats(&self) -> treewalk::CacheStats {
-        self.engine.cache_stats()
+        treewalk::CacheStats::default()
     }
 
     /// Statistics of the shared result cache the workers answer through.

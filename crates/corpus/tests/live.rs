@@ -116,7 +116,7 @@ fn concurrent_writers_and_readers_agree_with_per_version_oracles() {
                 let catalog = &catalog;
                 s.spawn(move || {
                     // one oracle compile per query string; the service
-                    // recompiles on its own plan cache independently
+                    // prepares every request independently
                     let engine = Engine::new();
                     let prepared: Vec<_> = QUERIES
                         .iter()

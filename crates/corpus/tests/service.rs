@@ -269,9 +269,22 @@ fn traced_queries_match_untraced_and_span_the_request() {
     let plain = service.query("down*[b]").unwrap();
     let traced = service.query_traced("down*[b]").unwrap();
     assert_eq!(plain.total_matches, traced.total_matches);
+    let reference = Compiled::new(
+        Engine::new()
+            .prepare_in(corpus.catalog(), "down*[b]")
+            .unwrap()
+            .path(),
+    );
     for ((id_a, _, set_a), (id_b, _, set_b)) in plain.per_doc.iter().zip(traced.per_doc.iter()) {
         assert_eq!(id_a, id_b);
         assert_eq!(set_a, set_b, "tracing perturbed the answer on {id_a}");
+        let doc = corpus.doc(*id_a).expect("answer ids are corpus ids");
+        let ctx = NodeSet::singleton(doc.tree.len(), doc.tree.root());
+        assert_eq!(
+            *set_b,
+            reference.image(&doc.tree, &ctx),
+            "the traced answer on {id_a} diverges from the product reference"
+        );
     }
     // every answer carries a distinct trace id, traced or not
     assert_ne!(plain.trace_id, traced.trace_id);
@@ -303,16 +316,12 @@ fn traced_queries_match_untraced_and_span_the_request() {
         // offsets share the request clock: no shard starts after the end
         assert!(shard.start_ns <= tree.root.dur_ns);
     }
-    // the plain run prepared this text, so the traced prepare is a
-    // plan-cache hit: nothing is parsed, simplified or compiled
+    // nothing is cached between prepares: the traced request, like any
+    // other, parses, simplifies and compiles its text
     let prepare = &tree.root.children[0];
-    assert!(prepare.children.is_empty(), "{:?}", prepare.children);
-    assert_eq!(prepare.counters.get(Counter::PlanCacheHits), 1);
-    // a text the engine has not seen names every pipeline stage
-    let cold = service.query_traced("down*[c]").unwrap();
-    let prepare = &cold.trace.expect("traced").root.children[0];
     let stage_names: Vec<&str> = prepare.children.iter().map(|c| c.name.as_str()).collect();
-    assert_eq!(stage_names, ["parse", "simplify", "plan_cache"]);
+    assert_eq!(stage_names, ["parse", "simplify", "compile"]);
+    assert!(prepare.counters.get(Counter::CompileNanos) > 0);
     service.shutdown();
 }
 

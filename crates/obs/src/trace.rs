@@ -9,7 +9,7 @@
 //!
 //! A [`SpanTree`] is the on-demand view of *where that request's time
 //! went*: a tree of named [`SpanNode`]s (the pipeline stages — `parse`,
-//! `simplify`, `plan_cache`, `eval`, per-shard work, `merge`), each with
+//! `simplify`, `compile`, `eval`, per-shard work, `merge`), each with
 //! its start offset and duration in nanoseconds plus the
 //! [`Counters`] delta the stage produced (inclusive of child stages,
 //! like the thread-local counters it is derived from).
@@ -93,7 +93,7 @@ impl fmt::Display for TraceId {
 /// delta, and nested child stages.
 #[derive(Clone, Debug, Default)]
 pub struct SpanNode {
-    /// Stage name (`parse`, `simplify`, `plan_cache`, `eval`, …).
+    /// Stage name (`parse`, `simplify`, `compile`, `eval`, …).
     pub name: String,
     /// Start offset in nanoseconds from the trace origin.
     pub start_ns: u64,

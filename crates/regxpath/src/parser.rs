@@ -166,8 +166,6 @@ struct Parser<'a> {
     /// Set when a label fails to resolve in [`Labels::Resolve`] mode, so
     /// the resolve entry points can surface a typed error.
     unknown: Option<String>,
-    /// Every label name read so far, with the label it mapped to.
-    bound: Vec<(String, Label)>,
 }
 
 impl<'a> Parser<'a> {
@@ -183,7 +181,6 @@ impl<'a> Parser<'a> {
             tok_pos,
             labels,
             unknown: None,
-            bound: Vec::new(),
         })
     }
 
@@ -380,7 +377,6 @@ impl<'a> Parser<'a> {
                 _ => match self.labels.get(&name) {
                     Some(l) => {
                         self.bump()?;
-                        self.bound.push((name, l));
                         Ok(RNode::Label(l))
                     }
                     None => {
@@ -414,26 +410,10 @@ pub fn parse_rnode(input: &str, alphabet: &mut Alphabet) -> Result<RNode, Syntax
 /// Parses a path expression against a **read-only** label space: labels
 /// are resolved by lookup, and a name the space does not contain is a
 /// typed [`ResolveError::UnknownLabel`] instead of a silent intern.
-///
 pub fn parse_rpath_resolved(input: &str, alphabet: &Alphabet) -> Result<RPath, ResolveError> {
-    parse_rpath_bound(input, alphabet).map(|(e, _)| e)
-}
-
-/// Like [`parse_rpath_resolved`], but also returns the **bindings**: each
-/// label name the input mentions, sorted, with the label it resolved to —
-/// all the expression depends on of the label space.
-pub fn parse_rpath_bound(
-    input: &str,
-    alphabet: &Alphabet,
-) -> Result<(RPath, Vec<(String, Label)>), ResolveError> {
     let mut p = Parser::new(input, Labels::Resolve(alphabet)).map_err(ResolveError::Syntax)?;
     match p.path().and_then(|e| p.eof().map(|()| e)) {
-        Ok(e) => {
-            let mut bound = p.bound;
-            bound.sort_unstable();
-            bound.dedup();
-            Ok((e, bound))
-        }
+        Ok(e) => Ok(e),
         Err(se) => Err(p.resolve_err(se)),
     }
 }
@@ -543,8 +523,6 @@ mod tests {
             other => panic!("expected UnknownLabel, got {other:?}"),
         }
         assert_eq!(ab.len(), 1, "resolve mode must not intern");
-        let (_, bound) = parse_rpath_bound("down[a]/down*[a or true]", &ab).unwrap();
-        assert_eq!(bound, [("a".to_string(), ab.lookup("a").unwrap())]);
         // plain syntax errors still come out as Syntax
         assert!(matches!(
             parse_rnode_resolved("W down", &ab),

@@ -29,7 +29,7 @@
 //!   destination register, no temporaries ([`twx_xtree::NodeSet::union_with`] and
 //!   friends added for exactly this);
 //! * **arena-recycled registers** — evaluation borrows a register file from
-//!   a thread-local `Arena` and returns it afterwards, so a plan-cache-hot
+//!   a thread-local `Arena` and returns it afterwards, so a hot
 //!   `eval_cached` loop performs no allocation at all (registers are
 //!   [`twx_xtree::NodeSet::reset`], keeping their word buffers);
 //! * **closures without rounds where the tree allows it** — the star of
@@ -54,8 +54,8 @@
 //!   See [`interp`].
 //!
 //! Programs carry a stable FNV-1a [`Program::fingerprint`] over their
-//! instruction encoding, so they drop into the engine's `PlanCache` and
-//! span-invalidated `ResultCache` like any other compiled artifact.
+//! instruction encoding: the key of a query's answers in the engine's
+//! span-invalidated `ResultCache`.
 
 pub mod compile;
 pub mod interp;

@@ -30,15 +30,8 @@ fn main() {
         .expect("well-formed example query");
     println!("{profile}");
 
-    // the same profile, machine-readable; a second explain through the
-    // same engine serves the compiled plan from the cache
-    let profile = engine.explain(&doc, query, root).expect("query");
+    // the same profile, machine-readable
     println!("as JSON:\n{}", profile.to_json().render());
-    let stats = engine.cache_stats();
-    println!(
-        "plan cache after two explains: {} hit(s), {} miss(es)",
-        stats.hits, stats.misses
-    );
 
     // a contradictory filter is not decided at prepare time: it
     // compiles like any other filter, and one ordinary eval finds that

@@ -1,4 +1,4 @@
-//! The instrumentation overhead probe: the serving hot path (plan-cached
+//! The instrumentation overhead probe: the serving hot path (a held
 //! `Prepared::eval` over a corpus of documents) timed in whichever
 //! feature configuration this binary was built with.
 //!
@@ -50,7 +50,7 @@ fn main() {
     // the default back end: the one every serving path runs
     let engine = Engine::new();
     // compile once, outside the timed region — the hot path under test
-    // is plan-cached evaluation, exactly what a warmed service runs
+    // is evaluation of a prepared query, exactly what a service worker runs
     let pool: Vec<_> = QUERIES
         .iter()
         .map(|q| engine.prepare_in(&catalog, q).expect("pool query compiles"))

@@ -65,31 +65,18 @@ fn main() {
 
     // --- prepare once, serve many ----------------------------------------
     // The engine compiles queries to register bytecode over dense
-    // bitsets through a shared plan cache; the document is only ever
-    // borrowed immutably, so one plan serves many threads, and every eval
-    // recycles its registers through a thread-local arena.
+    // bitsets; the document is only ever borrowed immutably, so one
+    // prepared query serves many threads, and every eval recycles its
+    // registers through a thread-local arena.
     let engine = Engine::new();
     let prepared = engine.prepare(&doc, "down*[i]").expect("query compiles");
     let total: usize = std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
-            .map(|_| {
-                s.spawn(|| {
-                    // each thread re-prepares the same query: after the
-                    // compile above, every one is a plan-cache hit
-                    let again = engine.prepare(&doc, "down*[i]").expect("cached");
-                    again.eval(&doc, doc.tree.root()).count()
-                })
-            })
+            .map(|_| s.spawn(|| prepared.eval(&doc, doc.tree.root()).count()))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).sum()
     });
-    drop(prepared);
-    let stats = engine.cache_stats();
-    println!(
-        "\ndown*[i] served from 4 threads: {total} answers total \
-         (plan cache: {} hit(s), {} miss(es), {} eviction(s))",
-        stats.hits, stats.misses, stats.evictions
-    );
+    println!("\ndown*[i] served from 4 threads: {total} answers total");
     let profile = engine
         .explain(&doc, "down*[i]", doc.tree.root())
         .expect("query compiles");

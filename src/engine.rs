@@ -1,7 +1,7 @@
 //! A document-level query engine over the bytecode VM.
 //!
 //! [`Engine`] compiles Regular XPath(W) queries through a staged pipeline
-//! — plan-cache probe → parse → simplify → VM compile — and evaluates
+//! — parse → simplify → VM compile — and evaluates
 //! the resulting [`twx_vm::Program`]. The paper's three equivalent
 //! constructions (the NFA-product evaluator, the nested tree walking
 //! automaton, and the FO(MTC) model checker) are not serving options:
@@ -11,23 +11,20 @@
 //! Compilation is decoupled from documents: queries resolve **read-only**
 //! against a document's alphabet or a shared, append-only [`Catalog`]
 //! (an unknown label is [`EngineError::UnknownLabel`], never an intern),
-//! a plan cache keyed by query text is shared by every clone of the
-//! engine, and [`Engine`]/[`Prepared`] are `Send + Sync`, so one
-//! prepared query can serve many threads and many documents over the
-//! same label space.
+//! and [`Engine`]/[`Prepared`] are `Send + Sync`, so one prepared query
+//! can serve many threads and many documents over the same label space.
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use twx_obs::{self as obs, AtomicHistogram, CompiledSizes, Counter, QueryProfile, SpanTree};
-use twx_regxpath::parser::{parse_rpath_bound, ResolveError};
+use twx_regxpath::parser::{parse_rpath_resolved, ResolveError};
 use twx_regxpath::{simplify_rpath, RPath};
 use twx_vm::Program;
 use twx_xtree::edit::{DocVersion, Span};
-use twx_xtree::{Alphabet, Catalog, Document, Label, NodeId, NodeSet};
+use twx_xtree::{Alphabet, Catalog, Document, NodeId, NodeSet};
 
 /// The process-wide eval-latency histogram, registered in the global
 /// [`obs::metrics`] registry as `twx_engine_eval_ns`. Every [`Prepared`]
@@ -74,160 +71,15 @@ impl From<ResolveError> for EngineError {
     }
 }
 
-/// Point-in-time statistics of an engine's plan cache.
+/// What the deprecated [`Engine::cache_stats`] shim returns: zeros, since
+/// the engine caches no plans.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Prepares answered from the cache: nothing parsed or compiled.
+    /// Always 0.
     pub hits: u64,
-    /// Prepares that had to compile.
+    /// Always 0.
     pub misses: u64,
-    /// Texts displaced by the FIFO capacity bound.
-    pub evictions: u64,
-    /// Texts currently resident.
-    pub entries: usize,
-    /// Maximum resident texts before eviction.
-    pub capacity: usize,
-}
-
-/// Default number of resident texts before FIFO eviction.
-const DEFAULT_CACHE_CAPACITY: usize = 256;
-
-/// What one query text prepared to. Every [`Prepared`] served from the
-/// text shares it, so a cache hit copies no AST and no string.
-#[derive(Debug)]
-struct Parts {
-    text: String,
-    /// Each label name the text mentions, with the label it resolved to
-    /// (see [`parse_rpath_bound`]).
-    bindings: Vec<(String, Label)>,
-    raw_size: usize,
-    path: RPath,
-    plan: Arc<Program>,
-}
-
-/// A concurrent plan cache: one map from query text to its [`Parts`],
-/// holding at most `capacity` texts with FIFO eviction.
-///
-/// A query shares only its label tests with a document, so a plan is
-/// exact in every label space — a document's alphabet or a catalog —
-/// that binds the names its text mentions alike: a probe hits when each
-/// binding resolves the same way there. A text whose bindings differ
-/// misses, and its new parts replace the entry in place. Evictions never
-/// invalidate a live [`Prepared`]. Hit/miss/eviction totals are kept in
-/// atomics ([`Engine::cache_stats`]) and tick the thread-local
-/// `plan_cache_*` counters.
-#[derive(Debug)]
-struct PlanCache {
-    inner: RwLock<CacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-#[derive(Debug)]
-struct CacheInner {
-    map: HashMap<String, Arc<Parts>>,
-    order: VecDeque<String>,
-    capacity: usize,
-}
-
-impl PlanCache {
-    fn new(capacity: usize) -> PlanCache {
-        PlanCache {
-            inner: RwLock::new(CacheInner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                capacity: capacity.max(1),
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// The parts `query` prepared to, if each of its bindings resolves to
-    /// the same label in `labels`. Counts a hit; a miss is counted when
-    /// the text compiles.
-    fn get(&self, query: &str, labels: &Alphabet) -> Option<Arc<Parts>> {
-        let inner = self.inner.read().expect("plan cache poisoned");
-        let parts = inner.map.get(query)?;
-        if !parts
-            .bindings
-            .iter()
-            .all(|(name, l)| labels.lookup(name) == Some(*l))
-        {
-            return None;
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        obs::incr(Counter::PlanCacheHits);
-        Some(Arc::clone(parts))
-    }
-
-    /// Compiles `path` and caches the parts under `text`.
-    ///
-    /// Compilation runs outside any lock: concurrent misses on one text
-    /// may compile twice, but compilation is pure, so when their bindings
-    /// agree the duplicates are identical and the first insert wins.
-    fn compile(
-        &self,
-        text: &str,
-        bindings: Vec<(String, Label)>,
-        raw_size: usize,
-        path: RPath,
-    ) -> Arc<Parts> {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        obs::incr(Counter::PlanCacheMisses);
-        let plan = {
-            let _t = obs::span(Counter::CompileNanos);
-            Arc::new(twx_vm::compile_path(&path))
-        };
-        let parts = Arc::new(Parts {
-            text: text.to_string(),
-            bindings,
-            raw_size,
-            path,
-            plan,
-        });
-        let mut inner = self.inner.write().expect("plan cache poisoned");
-        if let Some(entry) = inner.map.get_mut(text) {
-            if entry.bindings != parts.bindings {
-                // the same text in a label space that numbers its names
-                // differently: the entry keeps its place in the FIFO
-                *entry = Arc::clone(&parts);
-            }
-            return Arc::clone(entry);
-        }
-        inner.map.insert(parts.text.clone(), Arc::clone(&parts));
-        inner.order.push_back(parts.text.clone());
-        while inner.map.len() > inner.capacity {
-            let Some(old) = inner.order.pop_front() else {
-                break;
-            };
-            inner.map.remove(&old);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            obs::incr(Counter::PlanCacheEvictions);
-        }
-        parts
-    }
-
-    fn stats(&self) -> CacheStats {
-        let inner = self.inner.read().expect("plan cache poisoned");
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: inner.map.len(),
-            capacity: inner.capacity,
-        }
-    }
-}
-
-/// What a plan-cache probe found for a query text.
-enum Probe {
-    /// The text is cached with bindings the label space agrees with.
-    Hit(Arc<Parts>),
-    /// It is not: the text's read-only parse and its bindings.
-    Miss(RPath, Vec<(String, Label)>),
 }
 
 /// Default number of resident answers before the result cache evicts.
@@ -282,7 +134,7 @@ struct ResultInner {
 }
 
 /// A concurrent, bounded cache of **evaluated answers**, keyed by
-/// `(plan-and-context fingerprint, document id, DocVersion)`.
+/// `(program-and-context fingerprint, document id, DocVersion)`.
 ///
 /// The cache is the read-side half of the live-corpus story: queries on
 /// unchanged documents are answered without touching the tree, and edits
@@ -488,25 +340,44 @@ impl ResultCache {
 /// VM compile), reusable across context nodes, threads, and every
 /// document sharing the label space it was compiled against.
 ///
-/// `Prepared` is `Send + Sync` and shares its parts with the engine's
-/// plan cache behind an [`Arc`], so it stays valid even after the text is
-/// evicted from the cache.
+/// `Prepared` is `Send + Sync`. Its result-cache key (the program's
+/// fingerprint) and its locality (whether the query only looks down) are
+/// computed once, when it is compiled.
 #[derive(Debug)]
 pub struct Prepared {
-    /// The parts' program, held directly so an eval reaches it in one
-    /// load.
-    plan: Arc<Program>,
-    parts: Arc<Parts>,
-}
-
-impl From<Arc<Parts>> for Prepared {
-    fn from(parts: Arc<Parts>) -> Prepared {
-        let plan = Arc::clone(&parts.plan);
-        Prepared { plan, parts }
-    }
+    program: Program,
+    /// [`Program::fingerprint`]: the key of this query's cached answers.
+    key: u64,
+    /// [`RPath::is_downward`] of `path`: answers depend only on the
+    /// context subtree.
+    downward: bool,
+    path: RPath,
+    raw_size: usize,
+    text: String,
 }
 
 impl Prepared {
+    /// Simplifies `raw`, the parse of `text`, and compiles it.
+    fn compile(text: &str, raw: RPath) -> Prepared {
+        let path = {
+            let _stage = obs::trace::stage("simplify");
+            simplify_rpath(&raw)
+        };
+        let _stage = obs::trace::stage("compile");
+        let program = {
+            let _t = obs::span(Counter::CompileNanos);
+            twx_vm::compile_path(&path)
+        };
+        Prepared {
+            key: program.fingerprint(),
+            downward: path.is_downward(),
+            program,
+            path,
+            raw_size: raw.size(),
+            text: text.to_string(),
+        }
+    }
+
     /// Evaluates from a single context node.
     ///
     /// Evaluation time is sampled ([`obs::Sample`]): a thread times one
@@ -531,21 +402,16 @@ impl Prepared {
         let t = &doc.tree;
         let ctx_set = NodeSet::singleton(t.len(), ctx);
         let _stage = obs::trace::stage("eval");
-        twx_vm::eval_image(t, &self.plan, &ctx_set)
+        twx_vm::eval_image(t, &self.program, &ctx_set)
     }
 
-    /// A stable-within-this-process fingerprint of the compiled plan:
-    /// the simplified AST plus the program's instruction fingerprint. Two
-    /// `Prepared` values that would answer identically over the same
-    /// label space fingerprint identically.
+    /// The key of this query's cached answers: the compiled program's
+    /// fingerprint, which hashes every instruction, label, automaton and
+    /// nested program. Two `Prepared` values with the same program answer
+    /// identically, so they share cached answers whichever engine, text
+    /// or label space they came from.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.parts.path.hash(&mut h);
-        // VM programs carry their own process-independent instruction
-        // fingerprint; folding it in ties the cache key to the exact
-        // bytecode that will answer.
-        self.plan.fingerprint().hash(&mut h);
-        h.finish()
+        self.key
     }
 
     /// The preorder span of `doc` this query's answer from `ctx` can
@@ -554,7 +420,7 @@ impl Prepared {
     /// with cached answers and tested against edit spans at
     /// invalidation.
     pub fn touched_span(&self, doc: &Document, ctx: NodeId) -> Span {
-        if self.parts.path.is_downward() {
+        if self.downward {
             Span {
                 start: ctx.0,
                 end: doc.tree.subtree_end(ctx),
@@ -568,7 +434,7 @@ impl Prepared {
     }
 
     /// Evaluates through a [`ResultCache`]: answers from the cache when
-    /// it holds this `(plan, ctx)` on this exact `(doc_id, version)`,
+    /// it holds this `(program, ctx)` on this exact `(doc_id, version)`,
     /// evaluating and inserting otherwise.
     ///
     /// A carried entry may predate structural edits elsewhere in the
@@ -585,8 +451,7 @@ impl Prepared {
         ctx: NodeId,
     ) -> Arc<NodeSet> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.fingerprint().hash(&mut h);
-        ctx.0.hash(&mut h);
+        (self.key, ctx.0).hash(&mut h);
         let key = h.finish();
         let lookup = {
             let _stage = obs::trace::stage("result_cache");
@@ -649,66 +514,59 @@ impl Prepared {
 
     fn profile(&self, doc: &Document, result: &NodeSet, counters: obs::Counters) -> QueryProfile {
         QueryProfile {
-            query: self.parts.text.clone(),
+            query: self.text.clone(),
             tree_size: doc.tree.len(),
             result_count: result.count(),
             eval_nanos: counters.get(Counter::EvalNanos),
             compile_nanos: counters.get(Counter::CompileNanos),
             compiled: CompiledSizes {
-                query_size: self.parts.path.size(),
-                vm_instrs: self.plan.n_instrs(),
-                vm_regs: self.plan.n_regs_total(),
+                query_size: self.path.size(),
+                vm_instrs: self.program.n_instrs(),
+                vm_regs: self.program.n_regs_total(),
             },
             counters,
         }
     }
 
-    /// The compiled VM program, shared with the plan cache.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.plan
+    /// The compiled VM program.
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
-    /// The simplified query AST the plan was compiled from.
+    /// The simplified query AST the program was compiled from.
     pub fn path(&self) -> &RPath {
-        &self.parts.path
+        &self.path
     }
 
     /// AST size as parsed, before the mandatory simplify stage.
     pub fn raw_size(&self) -> usize {
-        self.parts.raw_size
+        self.raw_size
     }
 
     /// The original query text.
     pub fn text(&self) -> &str {
-        &self.parts.text
+        &self.text
     }
 }
 
-/// The query engine: a shared, concurrent plan cache of VM programs.
-/// Cloning is cheap and clones share the cache; the engine is
-/// `Send + Sync`.
-#[derive(Clone, Debug)]
-pub struct Engine {
-    cache: Arc<PlanCache>,
-}
+/// The query engine. Preparing a query is a pure function of its text
+/// and the label space it resolves in, so the engine holds no state:
+/// every prepare parses, simplifies and compiles. The engine is
+/// `Send + Sync`, and a [`Prepared`] serves any number of threads.
+#[derive(Clone, Debug, Default)]
+pub struct Engine;
 
-impl Default for Engine {
-    fn default() -> Engine {
-        Engine::new()
-    }
+/// The read-only head of the one prepare path: parses `query` against
+/// `labels`, which it never grows.
+fn parse(labels: &Alphabet, query: &str) -> Result<RPath, EngineError> {
+    let _stage = obs::trace::stage("parse");
+    Ok(parse_rpath_resolved(query, labels)?)
 }
 
 impl Engine {
-    /// An engine with the default plan-cache capacity.
+    /// An engine.
     pub fn new() -> Engine {
-        Engine::with_cache_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Bounds the plan cache to `capacity` resident plans (FIFO eviction).
-    pub fn with_cache_capacity(capacity: usize) -> Engine {
-        Engine {
-            cache: Arc::new(PlanCache::new(capacity)),
-        }
+        Engine
     }
 
     /// Returns the engine unchanged: evaluation is single-threaded.
@@ -718,50 +576,23 @@ impl Engine {
         self
     }
 
-    /// Prepares `query` against the document's (immutable) alphabet: a
-    /// text cached with the same label bindings is a hit; otherwise it
-    /// is parsed, simplified and compiled, and the plan cached.
+    /// Prepares `query` against the document's (immutable) alphabet:
+    /// parse, simplify, VM compile.
     ///
     /// Labels the alphabet does not know yield
     /// [`EngineError::UnknownLabel`]; the document is never mutated.
     pub fn prepare(&self, doc: &Document, query: &str) -> Result<Prepared, EngineError> {
-        let probe = self.probe(&doc.alphabet, query)?;
-        Ok(self.finish(query, probe))
+        let raw = parse(&doc.alphabet, query)?;
+        Ok(Prepared::compile(query, raw))
     }
 
     /// Like [`prepare`](Engine::prepare), but resolves the query against a
     /// shared [`Catalog`], read-only: an unknown label is
     /// [`EngineError::UnknownLabel`], and the catalog never grows. The
-    /// plan then serves every document built from the catalog.
+    /// program then serves every document built from the catalog.
     pub fn prepare_in(&self, catalog: &Catalog, query: &str) -> Result<Prepared, EngineError> {
-        let probe = catalog.with_read(|labels| self.probe(labels, query))?;
-        Ok(self.finish(query, probe))
-    }
-
-    /// The read-only head of the one prepare path, run while the label
-    /// space is read: the plan-cache probe and, on a miss, the parse.
-    fn probe(&self, labels: &Alphabet, query: &str) -> Result<Probe, EngineError> {
-        if let Some(parts) = self.cache.get(query, labels) {
-            return Ok(Probe::Hit(parts));
-        }
-        let _stage = obs::trace::stage("parse");
-        let (raw, bindings) = parse_rpath_bound(query, labels)?;
-        Ok(Probe::Miss(raw, bindings))
-    }
-
-    /// The rest of the pipeline on a miss: simplify, then compile and
-    /// cache.
-    fn finish(&self, query: &str, probe: Probe) -> Prepared {
-        let (raw, bindings) = match probe {
-            Probe::Hit(parts) => return parts.into(),
-            Probe::Miss(raw, bindings) => (raw, bindings),
-        };
-        let path = {
-            let _stage = obs::trace::stage("simplify");
-            simplify_rpath(&raw)
-        };
-        let _stage = obs::trace::stage("plan_cache");
-        self.cache.compile(query, bindings, raw.size(), path).into()
+        let raw = catalog.with_read(|labels| parse(labels, query))?;
+        Ok(Prepared::compile(query, raw))
     }
 
     /// Compiles and evaluates in one step from `ctx`.
@@ -771,9 +602,8 @@ impl Engine {
     }
 
     /// Like [`query`](Engine::query), but collects a span tree of the
-    /// pipeline (`parse` → `simplify` → `plan_cache` on a plan-cache
-    /// miss, then `eval`, each with nanosecond timings and counter
-    /// deltas) alongside the answer.
+    /// pipeline (`parse` → `simplify` → `compile` → `eval`, each with
+    /// nanosecond timings and counter deltas) alongside the answer.
     ///
     /// The answer is **identical** to an untraced [`query`](Engine::query) —
     /// instrumentation never perturbs evaluation. The trace is `None`
@@ -794,58 +624,10 @@ impl Engine {
         result.map(|r| (r, tree))
     }
 
-    /// Compiles once, then evaluates across all `(document, context)` jobs
-    /// concurrently with [`std::thread::scope`], returning answers in job
-    /// order. All documents must share the label space of `jobs[0].0`
-    /// (e.g. via a [`Catalog`]).
-    ///
-    /// Observability counters are thread-local, so each worker drains its
-    /// slots when its chunk completes and the deltas are merged back into
-    /// the calling thread ([`obs::merge_local`]): a `snapshot`/
-    /// `delta_since` window around this call sees the full fan-out cost,
-    /// not just the compile.
-    pub fn query_batch(
-        &self,
-        jobs: &[(&Document, NodeId)],
-        query: &str,
-    ) -> Result<Vec<NodeSet>, EngineError> {
-        let Some((first, _)) = jobs.first() else {
-            return Ok(Vec::new());
-        };
-        let prepared = self.prepare(first, query)?;
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(jobs.len());
-        let chunk = jobs.len().div_ceil(threads);
-        let mut out = Vec::with_capacity(jobs.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .chunks(chunk)
-                .map(|part| {
-                    let p = &prepared;
-                    s.spawn(move || {
-                        let answers = part
-                            .iter()
-                            .map(|(d, ctx)| p.eval(d, *ctx))
-                            .collect::<Vec<_>>();
-                        (answers, obs::drain())
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (answers, counters) = h.join().expect("batch worker panicked");
-                obs::merge_local(&counters);
-                out.extend(answers);
-            }
-        });
-        Ok(out)
-    }
-
     /// Compiles, evaluates, and profiles a query in one step: the EXPLAIN
     /// entry point. The counter snapshot is taken **before** the pipeline
-    /// runs, so the profile includes compile time and the plan-cache
-    /// hit/miss for this query.
+    /// runs, so the profile includes the parse, simplify and compile
+    /// stages.
     ///
     /// ```
     /// use treewalk::Engine;
@@ -870,10 +652,11 @@ impl Engine {
         Ok(prepared.profile(doc, &result, counters))
     }
 
-    /// Global statistics of the plan cache shared by all clones of this
-    /// engine.
+    /// Returns zeros: the engine caches no plans.
+    #[doc(hidden)]
+    #[deprecated(note = "the engine caches no plans; kept for perfbench/src/deep.rs")]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        CacheStats::default()
     }
 }
 
@@ -917,22 +700,20 @@ mod tests {
         assert_eq!(profile.result_count, 2);
         assert!(profile.compiled.vm_instrs > 0, "vm sizes in the profile");
         assert!(profile.compiled.vm_regs > 0);
-        // plan-cache round trip and the eval latency series
-        engine.explain(&d, "down*[c]", root).unwrap();
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
         #[cfg(feature = "obs")]
         {
             assert!(profile.counters.get(Counter::VmInstructions) > 0);
+            assert!(profile.compile_nanos > 0, "every explain compiles");
             assert!(obs::metrics::global()
                 .histogram_snapshot("twx_engine_eval_ns", &[])
                 .is_some());
         }
-        // the result cache keys on the plan fingerprint: identical VM
-        // plans fingerprint identically, distinct programs differ
+        // the result cache keys on the program fingerprint: identical VM
+        // programs fingerprint identically, distinct programs differ
         let p1 = engine.prepare(&d, "down*[c]").unwrap();
         let p2 = engine.prepare(&d, "down*[c]").unwrap();
         assert_eq!(p1.fingerprint(), p2.fingerprint());
+        assert_eq!(p1.fingerprint(), p1.program().fingerprint());
         let p3 = engine.prepare(&d, "down*[b]").unwrap();
         assert_ne!(p1.fingerprint(), p3.fingerprint());
     }
@@ -973,43 +754,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_hits_across_documents_and_clones() {
-        let engine = Engine::new();
-        let d1 = doc();
-        let d2 = doc(); // same label space (same parse order)
-        let p1 = engine.prepare(&d1, "down*[c]").unwrap();
-        let clone = engine.clone();
-        let p2 = clone.prepare(&d2, "down*[c]").unwrap();
-        assert!(
-            Arc::ptr_eq(p1.program(), p2.program()),
-            "clones share the cache"
-        );
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.entries, 1);
-        assert_eq!(p1.eval(&d1, d1.tree.root()), p2.eval(&d2, d2.tree.root()));
-    }
-
-    #[test]
-    fn cache_evicts_fifo_at_capacity() {
-        let engine = Engine::with_cache_capacity(2);
-        let d = doc();
-        for q in ["down", "down/down", "down*"] {
-            engine.prepare(&d, q).unwrap();
-        }
-        let stats = engine.cache_stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.evictions, 1);
-        // the first plan was evicted; re-preparing it misses again
-        engine.prepare(&d, "down").unwrap();
-        assert_eq!(engine.cache_stats().misses, 4);
-        // evicted plans held by Prepared values stay usable (Arc-shared)
-        let held = engine.prepare(&d, "down*").unwrap();
-        engine.prepare(&d, "down/down/down").unwrap();
-        assert_eq!(held.eval(&d, d.tree.root()).count(), 5); // ε + 4 descendants
-    }
-
-    #[test]
     fn result_cache_hits_and_versions() {
         use twx_xtree::edit::{apply_edit, Edit};
         let d = doc();
@@ -1040,6 +784,26 @@ mod tests {
         let c = p.eval_cached(&cache, 7, v1, &d2, root);
         assert_eq!(c.count(), 1, "relabeled c is gone from the answer");
         assert_ne!(a.to_vec(), c.to_vec());
+    }
+
+    /// The result cache keys answers by the compiled program, not by the
+    /// engine that compiled it: a fresh engine's prepare of the same text
+    /// hits what another engine's `Prepared` inserted.
+    #[test]
+    fn result_cache_hits_across_engines() {
+        let d = doc();
+        let cache = ResultCache::new(64);
+        let root = d.tree.root();
+        let first = Engine::new().prepare(&d, "down*[c]").unwrap();
+        let inserted = first.eval_cached(&cache, 5, DocVersion(0), &d, root);
+        let again = Engine::new().prepare(&d, "down*[c]").unwrap();
+        let hit = again.eval_cached(&cache, 5, DocVersion(0), &d, root);
+        assert!(
+            Arc::ptr_eq(&inserted, &hit),
+            "a fresh engine's prepare hits"
+        );
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
     }
 
     #[test]
@@ -1170,20 +934,17 @@ mod tests {
         let (traced, tree) = engine.query_traced(&d, "down*[c]", root).unwrap();
         let plain = engine.query(&d, "down*[c]", root).unwrap();
         assert_eq!(plain, traced, "tracing perturbed the answer");
-        // the text is cached now: a repeat runs no prepare stage
-        let (_, hit) = engine.query_traced(&d, "down*[c]", root).unwrap();
+        // nothing is cached: a repeat runs every prepare stage again
+        let (_, again) = engine.query_traced(&d, "down*[c]", root).unwrap();
         #[cfg(feature = "obs")]
-        for (tree, stages) in [
-            (tree, &["parse", "simplify", "plan_cache", "eval"][..]),
-            (hit, &["eval"][..]),
-        ] {
+        for tree in [tree, again] {
             let tree = tree.expect("trace collected when obs is on");
             assert_ne!(tree.trace_id.0, 0);
             let names: Vec<&str> = tree.root.children.iter().map(|c| c.name.as_str()).collect();
-            assert_eq!(names, stages);
+            assert_eq!(names, ["parse", "simplify", "compile", "eval"]);
         }
         #[cfg(not(feature = "obs"))]
-        assert!(tree.is_none() && hit.is_none());
+        assert!(tree.is_none() && again.is_none());
     }
 
     #[cfg(feature = "obs")]
@@ -1211,18 +972,5 @@ mod tests {
         assert!(obs::metrics::global()
             .histogram_snapshot("twx_engine_eval_ns", &[])
             .is_some());
-    }
-
-    #[test]
-    fn query_batch_matches_sequential() {
-        let engine = Engine::new();
-        let docs: Vec<Document> = (0..8).map(|_| doc()).collect();
-        let jobs: Vec<(&Document, NodeId)> = docs.iter().map(|d| (d, d.tree.root())).collect();
-        let batch = engine.query_batch(&jobs, "down*[b]").unwrap();
-        assert_eq!(batch.len(), jobs.len());
-        for (i, (d, ctx)) in jobs.iter().enumerate() {
-            assert_eq!(batch[i], engine.query(d, "down*[b]", *ctx).unwrap());
-        }
-        assert!(engine.query_batch(&[], "down").unwrap().is_empty());
     }
 }

@@ -80,7 +80,6 @@ fn explain_profiles_carry_backend_counters() {
     assert_eq!(profile.counters.get(Counter::VmAxisClosures), 1);
     assert_eq!(profile.counters.get(Counter::VmClosureIters), 0);
     assert!(profile.to_text().contains("vm_axis_closures"));
-    assert_eq!(profile.counters.get(Counter::PlanCacheMisses), 1);
     assert!(profile.eval_nanos > 0);
     assert!(profile.compile_nanos > 0);
     assert!(profile.total_steps() > 0);
@@ -143,45 +142,40 @@ fn explain_counts_one_way_passes() {
     }
 }
 
-/// Compilation happens once, at prepare time, through the plan cache: the
-/// first prepare is a cache miss, repeat prepares are hits, and
-/// evaluations through a `Prepared` value never compile.
+/// Compilation happens at prepare time, on every prepare: each prepare
+/// of a text simplifies and compiles it again, to a program with the
+/// same result-cache key, and evaluations through a `Prepared` value
+/// never compile.
 #[test]
-fn repeat_preparations_hit_the_plan_cache() {
+fn every_prepare_compiles_and_evals_never_do() {
     if !obs::ENABLED {
         return;
     }
     let d = doc();
     let root = d.tree.root();
     let engine = Engine::new();
+    let ctx = NodeSet::singleton(d.tree.len(), root);
 
-    let before = obs::snapshot();
-    let p = engine.prepare(&d, "down+[b]").unwrap();
-    let compile = obs::delta_since(&before);
-    assert_eq!(compile.get(Counter::PlanCacheMisses), 1);
-    assert_eq!(compile.get(Counter::PlanCacheHits), 0);
-    assert!(compile.get(Counter::CompileNanos) > 0);
-    assert!(compile.get(Counter::CompiledVmInstrs) > 0);
-    assert!(compile.get(Counter::SimplifyPasses) > 0);
+    let prepare = || {
+        let before = obs::snapshot();
+        let p = engine.prepare(&d, "down+[b]").unwrap();
+        let compile = obs::delta_since(&before);
+        assert!(compile.get(Counter::CompileNanos) > 0);
+        assert!(compile.get(Counter::CompiledVmInstrs) > 0);
+        assert!(compile.get(Counter::SimplifyPasses) > 0);
+        p
+    };
+    let p = prepare();
+    let again = prepare();
+    assert_eq!(p.fingerprint(), again.fingerprint());
 
-    // evaluating a prepared plan never re-compiles
+    // evaluating a prepared query never re-compiles
     let first = p.explain(&d, root);
     assert_eq!(first.counters.get(Counter::CompileNanos), 0);
-    assert_eq!(first.counters.get(Counter::PlanCacheMisses), 0);
-    let second = p.explain(&d, root);
-    assert_eq!(first.result_count, second.result_count);
-
-    // a repeat prepare of the same query is a pure cache hit
-    let before = obs::snapshot();
-    let p2 = engine.prepare(&d, "down+[b]").unwrap();
-    let hit = obs::delta_since(&before);
-    assert_eq!(hit.get(Counter::PlanCacheHits), 1);
-    assert_eq!(hit.get(Counter::PlanCacheMisses), 0);
-    assert_eq!(hit.get(Counter::CompileNanos), 0);
-    assert_eq!(p2.eval(&d, root), p.eval(&d, root));
-
-    let stats = engine.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1));
+    assert_eq!(first.counters.get(Counter::SimplifyPasses), 0);
+    let product = reference_image(RouteId::Product, p.path(), &d.tree, &ctx);
+    assert_eq!(first.result_count, product.count());
+    assert_eq!(again.eval(&d, root), product);
 }
 
 /// The snapshot/delta protocol isolates concurrent work: counters are

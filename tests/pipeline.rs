@@ -1,6 +1,7 @@
 //! Integration tests for the staged compile pipeline: the mandatory
-//! simplify stage, the shared plan cache, and the `Send + Sync`
-//! prepare-once/serve-many contract of [`Engine`] and [`Prepared`].
+//! simplify stage, the result-cache key every [`Prepared`] carries, and
+//! the `Send + Sync` prepare-once/serve-many contract of [`Engine`] and
+//! [`Prepared`].
 
 use std::sync::Arc;
 use treewalk::obs;
@@ -22,7 +23,6 @@ fn engine_types_are_send_and_sync() {
     assert_send_sync::<Engine>();
     assert_send_sync::<Prepared>();
     assert_send_sync::<Catalog>();
-    assert_send_sync::<treewalk::CacheStats>();
 }
 
 /// `p` evaluated from `ctx` by each of the paper's three reference
@@ -58,16 +58,27 @@ fn simplify_stage_preserves_semantics_on_all_backends() {
     }
 }
 
-/// One `Prepared` value hammered from 8 threads returns identical answers
-/// everywhere, and repeat prepares on those threads are all plan-cache
-/// hits.
+/// The product reference's answer to `path` on `doc` from its root.
+fn product(doc: &Document, path: &RPath) -> NodeSet {
+    let t = &doc.tree;
+    reference_image(
+        RouteId::Product,
+        path,
+        t,
+        &NodeSet::singleton(t.len(), t.root()),
+    )
+}
+
+/// One `Prepared` value hammered from 8 threads returns the product
+/// reference's answer everywhere, and the same text re-prepared on each
+/// thread compiles to a program with the same result-cache key.
 #[test]
 fn one_prepared_serves_eight_threads() {
     let catalog = Catalog::new();
     let doc = parse_xml_catalog("<a><b><c/><d/></b><c><b><d/></b></c><d/></a>", &catalog).unwrap();
     let engine = Engine::new();
     let prepared = Arc::new(engine.prepare(&doc, "(down | right)*[b]").unwrap());
-    let expected = prepared.eval(&doc, doc.tree.root());
+    let expected = product(&doc, prepared.path());
 
     std::thread::scope(|s| {
         for _ in 0..8 {
@@ -79,41 +90,17 @@ fn one_prepared_serves_eight_threads() {
                 for _ in 0..16 {
                     assert_eq!(p.eval(doc, doc.tree.root()), *expected);
                 }
-                // the same query re-prepared on this thread is a cache hit
                 let again = engine.prepare(doc, "(down | right)*[b]").unwrap();
+                assert_eq!(again.fingerprint(), p.fingerprint());
                 assert_eq!(again.eval(doc, doc.tree.root()), *expected);
             });
         }
     });
-
-    let stats = engine.cache_stats();
-    assert_eq!(stats.misses, 1, "one cold compile");
-    assert_eq!(stats.hits, 8, "every thread re-prepare hit the cache");
-    assert_eq!(stats.entries, 1);
-}
-
-/// `query_batch` fans one plan across catalog-shared documents and agrees
-/// with sequential evaluation.
-#[test]
-fn query_batch_over_catalog_shared_documents() {
-    let catalog = Catalog::from_names(["a", "b", "c"]);
-    let mut rng = SplitMix64::seed_from_u64(77);
-    let docs: Vec<Document> = (0..16)
-        .map(|_| random_document_in(Shape::DocumentLike, 60, &catalog, &mut rng))
-        .collect();
-    let engine = Engine::new();
-    let prepared = engine.prepare_in(&catalog, "down*[b]").unwrap();
-    let jobs: Vec<(&Document, _)> = docs.iter().map(|d| (d, d.tree.root())).collect();
-    let batch = engine.query_batch(&jobs, "down*[b]").unwrap();
-    assert_eq!(batch.len(), docs.len());
-    for (i, d) in docs.iter().enumerate() {
-        assert_eq!(batch[i], prepared.eval(d, d.tree.root()), "doc {i}");
-    }
 }
 
 /// Unknown labels surface as a typed error against immutable documents
 /// and shared catalogs alike: resolution is read-only, so neither label
-/// space grows, and a failed prepare caches nothing.
+/// space grows.
 #[test]
 fn unknown_labels_are_typed_errors_for_documents_and_catalogs() {
     let doc = parse_xml("<a><b/></a>").unwrap();
@@ -133,7 +120,6 @@ fn unknown_labels_are_typed_errors_for_documents_and_catalogs() {
     }
     assert_eq!(catalog.len(), 2, "prepare_in never interns");
     assert_eq!(catalog.lookup("ghost"), None);
-    assert_eq!(engine.cache_stats().entries, 0);
 }
 
 /// The engine's simplify stage is **idempotent** — feeding a
@@ -174,91 +160,34 @@ fn simplify_stage_is_idempotent_and_never_grows() {
     }
 }
 
-/// FIFO eviction under contention: 8 threads push 48 thread-disjoint
-/// distinct queries through a capacity-8 cache. Keys never collide across
-/// threads, so inserts == misses exactly, and the FIFO invariant
-/// `evictions == inserts − capacity` must hold; the scoped join doubles
-/// as the no-deadlock check.
-#[test]
-fn plan_cache_fifo_eviction_under_contention() {
-    const CAPACITY: usize = 8;
-    const THREADS: usize = 8;
-    const PER_THREAD: usize = 6;
-    let engine = Engine::with_cache_capacity(CAPACITY);
-    let catalog = Catalog::from_names(["a"]);
-
-    std::thread::scope(|s| {
-        for i in 0..THREADS {
-            let engine = engine.clone();
-            let catalog = &catalog;
-            s.spawn(move || {
-                for j in 0..PER_THREAD {
-                    // a down-chain of thread-unique length: 48 distinct
-                    // simplified ASTs, so every lookup is a cold miss
-                    let len = i * PER_THREAD + j + 1;
-                    let q = vec!["down"; len].join("/");
-                    engine.prepare_in(catalog, &q).unwrap();
-                }
-            });
-        }
-    });
-
-    let stats = engine.cache_stats();
-    assert_eq!(stats.capacity, CAPACITY);
-    assert_eq!(stats.entries, CAPACITY, "cache must sit at capacity");
-    assert_eq!(stats.hits, 0, "disjoint keys cannot hit");
-    assert_eq!(stats.misses, (THREADS * PER_THREAD) as u64);
-    assert_eq!(
-        stats.evictions,
-        stats.misses - CAPACITY as u64,
-        "FIFO invariant: evictions == inserts − capacity"
-    );
-
-    // determinism coda: one more distinct query misses and evicts, its
-    // immediate re-prepare hits
-    let q = vec!["down"; THREADS * PER_THREAD + 1].join("/");
-    engine.prepare_in(&catalog, &q).unwrap();
-    engine.prepare_in(&catalog, &q).unwrap();
-    let after = engine.cache_stats();
-    assert_eq!(after.hits, 1);
-    assert_eq!(after.misses, stats.misses + 1);
-    assert_eq!(after.evictions, stats.evictions + 1);
-    assert_eq!(after.entries, CAPACITY);
-}
-
 /// The mandatory simplify stage is visible in EXPLAIN profiles: passes are
-/// counted and shrinkage is reported for a query with redundancy.
+/// counted and shrinkage is reported for a query with redundancy, and
+/// the result cache keys answers by what simplify left.
 #[test]
 fn explain_shows_simplify_and_cache_counters() {
-    if !obs::ENABLED {
-        return;
-    }
     let doc = parse_xml("<a><b/><b/></a>").unwrap();
+    let root = doc.tree.root();
     let engine = Engine::new();
-    let profile = engine
-        .explain(&doc, "(down | down)[b]", doc.tree.root())
-        .unwrap();
+    let profile = engine.explain(&doc, "(down | down)[b]", root).unwrap();
     assert_eq!(profile.result_count, 2);
-    assert!(profile.counters.get(obs::Counter::SimplifyPasses) > 0);
-    assert!(profile.counters.get(obs::Counter::SimplifyShrunkNodes) > 0);
-    assert_eq!(profile.counters.get(obs::Counter::PlanCacheMisses), 1);
-    // `down|down` collapses to `down`, but plans are keyed by text: the
-    // plainly-written query compiles the same AST again, and only a
-    // repeat of the redundant text hits
-    let plain = engine.explain(&doc, "down[b]", doc.tree.root()).unwrap();
-    assert_eq!(plain.counters.get(obs::Counter::PlanCacheMisses), 1);
-    assert_eq!(plain.compiled.query_size, profile.compiled.query_size);
-    let again = engine
-        .explain(&doc, "(down | down)[b]", doc.tree.root())
-        .unwrap();
-    assert_eq!(again.counters.get(obs::Counter::PlanCacheHits), 1);
-    assert_eq!(again.counters.get(obs::Counter::PlanCacheMisses), 0);
+    if obs::ENABLED {
+        assert!(profile.counters.get(obs::Counter::SimplifyPasses) > 0);
+        assert!(profile.counters.get(obs::Counter::SimplifyShrunkNodes) > 0);
+        assert!(profile.compile_nanos > 0);
+    }
+    // `down|down` collapses to `down`: the plainly written query compiles
+    // to the same program, so the two texts share cached answers
+    let redundant = engine.prepare(&doc, "(down | down)[b]").unwrap();
+    let plain = engine.prepare(&doc, "down[b]").unwrap();
+    assert_eq!(redundant.path(), plain.path());
+    assert_eq!(redundant.fingerprint(), plain.fingerprint());
+    assert_eq!(plain.eval(&doc, root), product(&doc, plain.path()));
 }
 
-/// The plan cache stays exact while the catalog grows: a catalog is
-/// append-only, so a repeat of the same text after new labels arrive is
-/// a hit sharing the first plan, and it answers documents built
-/// after the growth exactly as a cold engine does.
+/// Cached answers stay reachable while the catalog grows: a catalog is
+/// append-only, so the same text prepared after new labels arrive
+/// compiles to a program with the same result-cache key, and it answers
+/// documents built after the growth like the product reference.
 #[test]
 fn text_hits_survive_catalog_growth() {
     let catalog = Catalog::from_names(["a", "b"]);
@@ -269,27 +198,22 @@ fn text_hits_survive_catalog_growth() {
         catalog.intern(name);
     }
     let again = engine.prepare_in(&catalog, query).unwrap();
-    assert!(Arc::ptr_eq(first.program(), again.program()));
     assert_eq!(first.path(), again.path());
-    let stats = engine.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1));
+    assert_eq!(first.fingerprint(), again.fingerprint());
 
-    let cold = Engine::new().prepare_in(&catalog, query).unwrap();
     let mut rng = SplitMix64::seed_from_u64(17);
     for shape in [Shape::DocumentLike, Shape::Wide, Shape::Recursive] {
         let doc = random_document_in(shape, 80, &catalog, &mut rng);
-        let root = doc.tree.root();
-        assert_eq!(first.eval(&doc, root), again.eval(&doc, root));
-        assert_eq!(again.eval(&doc, root), cold.eval(&doc, root));
+        let raw = twx_regxpath::parser::parse_rpath_catalog(query, &catalog).unwrap();
+        assert_eq!(first.eval(&doc, doc.tree.root()), product(&doc, &raw));
     }
 }
 
-/// Catalogs that number the same names differently never share an
-/// entry: `down[a]` is `down[#0]` in one and `down[#1]` in the other, so
-/// a text's bindings decide the probe, and each switch of catalog is a
-/// miss that replaces the entry. Plans are keyed by text alone: `down[b]`
-/// in the second catalog compiles to the first catalog's `down[a]` plan,
-/// but compiles again.
+/// Catalogs that number the same names differently never share a text's
+/// cached answers: `down[a]` is `down[#0]` in one and `down[#1]` in the
+/// other, so the two compile to programs with different keys. Answers are
+/// keyed by program, not text: `down[b]` in the second catalog compiles
+/// to the first catalog's `down[a]` program and shares its key.
 #[test]
 fn text_entries_are_per_catalog() {
     let ab = Catalog::from_names(["a", "b"]);
@@ -297,30 +221,38 @@ fn text_entries_are_per_catalog() {
     let doc_ab = parse_xml_catalog("<a><a/><b/><b/><b/></a>", &ab).unwrap();
     let doc_ba = parse_xml_catalog("<a><a/><b/><b/><b/></a>", &ba).unwrap();
     let engine = Engine::new();
-    for _ in 0..2 {
-        for (catalog, doc) in [(&ab, &doc_ab), (&ba, &doc_ba)] {
-            let root = doc.tree.root();
-            let a = engine.prepare_in(catalog, "down[a]").unwrap();
-            let b = engine.prepare_in(catalog, "down[b]").unwrap();
-            assert_eq!(a.eval(doc, root).count(), 1, "one a-child");
-            assert_eq!(b.eval(doc, root).count(), 3, "three b-children");
+    for (catalog, doc) in [(&ab, &doc_ab), (&ba, &doc_ba)] {
+        let root = doc.tree.root();
+        let a = engine.prepare_in(catalog, "down[a]").unwrap();
+        let b = engine.prepare_in(catalog, "down[b]").unwrap();
+        assert_eq!(a.eval(doc, root).count(), 1, "one a-child");
+        assert_eq!(b.eval(doc, root).count(), 3, "three b-children");
+        for p in [&a, &b] {
+            assert_eq!(p.eval(doc, root), product(doc, p.path()), "{}", p.text());
         }
     }
-    let stats = engine.cache_stats();
-    assert_eq!(stats.misses, 8, "every prepare follows a switch of catalog");
-    assert_eq!(stats.hits, 0);
-    assert_eq!(stats.entries, 2, "one entry per text");
-    let b_in_ba = engine.prepare_in(&ba, "down[b]").unwrap();
-    assert_eq!(engine.cache_stats().hits, 1, "same catalog again: a hit");
-    let a_in_ab = engine.prepare_in(&ab, "down[a]").unwrap();
-    assert_eq!(a_in_ab.path(), b_in_ba.path(), "both are down[#0]");
-    assert!(!Arc::ptr_eq(a_in_ab.program(), b_in_ba.program()));
+    let key = |catalog: &Catalog, q: &str| engine.prepare_in(catalog, q).unwrap().fingerprint();
+    assert_ne!(
+        key(&ab, "down[a]"),
+        key(&ba, "down[a]"),
+        "one text, two numberings"
+    );
+    assert_eq!(
+        key(&ab, "down[a]"),
+        key(&ba, "down[b]"),
+        "both are down[#0]"
+    );
+    assert_eq!(
+        key(&ab, "down[b]"),
+        key(&ba, "down[a]"),
+        "both are down[#1]"
+    );
 }
 
 /// One text served in four label spaces — two catalogs and two parsed
 /// documents, numbering `a` and `b` both ways — answers like the product
 /// reference on its own parse in each. A catalog and a document that bind
-/// the names alike share one entry: the second is a hit.
+/// the names alike compile it to one result-cache key.
 #[test]
 fn one_text_serves_every_label_space_that_binds_it_alike() {
     const QUERY: &str = "down*[a]/(down/right)*[<down[b]> or leaf]";
@@ -351,15 +283,16 @@ fn one_text_serves_every_label_space_that_binds_it_alike() {
             doc.alphabet
         );
     }
-    let stats = engine.cache_stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 1));
+    let keys: Vec<u64> = spaces.iter().map(|(p, _)| p.fingerprint()).collect();
+    assert_eq!(keys[0], keys[1], "ab and parsed_ab bind the names alike");
+    assert_eq!(keys[2], keys[3], "ba and parsed_ba bind the names alike");
+    assert_ne!(keys[0], keys[2]);
 }
 
-/// A repeated `explain` of one text on a fresh engine is a plan-cache
-/// hit: the second call ticks `plan_cache_hits` and runs no `parse` or
-/// `simplify` stage.
+/// Every `explain` of a text runs the whole prepare pipeline: a repeat
+/// parses, simplifies and compiles again, and answers alike.
 #[test]
-fn repeat_explain_skips_parse_and_simplify() {
+fn repeat_explain_reruns_every_prepare_stage() {
     if !obs::ENABLED {
         return;
     }
@@ -371,37 +304,33 @@ fn repeat_explain_skips_parse_and_simplify() {
         let profile = engine.explain(&doc, "down*[b]", root).unwrap();
         let tree = obs::trace::take().expect("trace collected");
         let stages: Vec<String> = tree.root.children.iter().map(|c| c.name.clone()).collect();
-        (profile, stages)
+        assert_eq!(stages, ["parse", "simplify", "compile", "eval"]);
+        assert!(profile.compile_nanos > 0);
+        assert!(profile.counters.get(obs::Counter::SimplifyPasses) > 0);
+        profile
     };
-    let (first, stages) = traced_explain();
-    assert_eq!(stages, ["parse", "simplify", "plan_cache", "eval"]);
-    let (second, stages) = traced_explain();
-    assert_eq!(stages, ["eval"]);
-    assert_eq!(first.counters.get(obs::Counter::PlanCacheMisses), 1);
-    assert_eq!(second.counters.get(obs::Counter::PlanCacheHits), 1);
-    assert_eq!(second.counters.get(obs::Counter::PlanCacheMisses), 0);
-    assert_eq!(second.counters.get(obs::Counter::SimplifyPasses), 0);
+    let (first, second) = (traced_explain(), traced_explain());
     assert_eq!(first.result_count, second.result_count);
+    let p = engine.prepare(&doc, "down*[b]").unwrap();
+    assert_eq!(first.result_count, product(&doc, p.path()).count());
 }
 
-/// Failed prepares are never cached: a syntax error leaves the plan cache
-/// alone, is not a hit the second time, and reports the same error.
+/// Failed prepares leave nothing behind: a syntax error is reported the
+/// same way every time, and the text prepared next answers like the
+/// product reference.
 #[test]
 fn syntax_errors_are_not_cached() {
     let catalog = Catalog::from_names(["a"]);
+    let doc = parse_xml_catalog("<a><a/><a><a/></a></a>", &catalog).unwrap();
     let engine = Engine::new();
-    engine.prepare_in(&catalog, "down*[a]").unwrap();
-    let before = engine.cache_stats();
     for _ in 0..2 {
         assert!(matches!(
             engine.prepare_in(&catalog, "down[["),
             Err(EngineError::Syntax(_))
         ));
     }
-    let after = engine.cache_stats();
-    assert_eq!(after, before, "no entry, hit or miss for a failed text");
-    engine.prepare_in(&catalog, "down*[a]").unwrap();
-    assert_eq!(engine.cache_stats().hits, before.hits + 1);
+    let p = engine.prepare_in(&catalog, "down*[a]").unwrap();
+    assert_eq!(p.eval(&doc, doc.tree.root()), product(&doc, p.path()));
 }
 
 /// A cold prepare decides nothing about satisfiability, so it stays
@@ -410,7 +339,7 @@ fn syntax_errors_are_not_cached() {
 /// compile and answer like the product reference on the raw parse (the
 /// contradictions answer ∅).
 #[test]
-fn prune_budget_bounds_a_cold_prepare() {
+fn a_cold_prepare_decides_no_satisfiability() {
     let hostile = "down*[<down[a]> or <down[b]> or <down[c]>]";
     let contradictions = [
         "down[b and !b]",
